@@ -26,13 +26,6 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/bench_hotpath.py --check
     PYTHONPATH=src python benchmarks/perf/bench_hotpath.py \
         --assert-speedup 3.0 --phase saturation
-
-``--megagrid`` additionally runs the 100x100 mega-scale workload twice
--- once with ``REPRO_NO_VECTOR=1`` (scalar oracle) and once vectorized
--- asserts their virtual outcomes are bit-identical, and records both
-measurements plus the region-sharded variant under the bench file's
-``megagrid`` section.  It is kept out of ``pre_pr_baseline.phases`` so
-the fast CI ``--check`` gate stays fast.
 """
 
 import argparse
@@ -81,64 +74,6 @@ def check_virtual_outcomes(bench, report):
     return problems
 
 
-def run_megagrid(bench, rows, cols, shards):
-    """Scalar-vs-vector A/B of the megagrid workload (+ sharded run).
-
-    Returns ``(section, problems)``: the JSON section for the bench
-    file and any virtual-outcome mismatches between the two channels.
-    """
-    from repro.profiling import profile_megagrid
-
-    seed = bench["seed"]
-    measured = {}
-    for label in ("scalar", "vector"):
-        if label == "scalar":
-            os.environ["REPRO_NO_VECTOR"] = "1"
-        else:
-            os.environ.pop("REPRO_NO_VECTOR", None)
-        phase = profile_megagrid(rows=rows, cols=cols, seed=seed)
-        measured[label] = phase
-        print(f"  megagrid[{label}]: {phase['events']} events, "
-              f"{phase['wall_s']:.2f} s, "
-              f"{phase['events_per_sec']:,.0f} ev/s")
-    problems = []
-    for key in ("events", "sim_ms", "checks"):
-        if measured["scalar"][key] != measured["vector"][key]:
-            problems.append(
-                f"megagrid: {key} scalar={measured['scalar'][key]!r} "
-                f"!= vector={measured['vector'][key]!r}"
-            )
-    sharded = profile_megagrid(rows=rows, cols=cols, seed=seed,
-                               shards=shards)
-    print(f"  megagrid[sharded {shards}x{shards}]: "
-          f"{sharded['events']} events, {sharded['wall_s']:.2f} s, "
-          f"{sharded['events_per_sec']:,.0f} ev/s "
-          f"(approximate boundary semantics; not outcome-comparable)")
-    section = {
-        "grid": [rows, cols],
-        "seed": seed,
-        "workload": measured["vector"]["workload"],
-        "checks": measured["vector"]["checks"],
-        "bit_identical": not problems,
-        "scalar": {k: measured["scalar"][k]
-                   for k in ("events", "wall_s", "events_per_sec")},
-        "vector": {k: measured["vector"][k]
-                   for k in ("events", "wall_s", "events_per_sec")},
-        "sharded": {
-            "shards": shards,
-            "events": sharded["events"],
-            "wall_s": sharded["wall_s"],
-            "events_per_sec": sharded["events_per_sec"],
-            "checks": sharded["checks"],
-            "counters": sharded["counters"],
-        },
-        "speedup_vector_vs_scalar":
-            measured["vector"]["events_per_sec"]
-            / measured["scalar"]["events_per_sec"],
-    }
-    return section, problems
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bench-file", default=BENCH_PATH)
@@ -153,13 +88,6 @@ def main(argv=None):
     parser.add_argument("--phase", default="saturation",
                         help="phase --assert-speedup applies to "
                              "(default saturation)")
-    parser.add_argument("--megagrid", action="store_true",
-                        help="also A/B the 100x100 megagrid workload "
-                             "(scalar vs vector vs sharded) and record "
-                             "it in the bench file")
-    parser.add_argument("--megagrid-rows", type=int, default=100)
-    parser.add_argument("--megagrid-cols", type=int, default=100)
-    parser.add_argument("--megagrid-shards", type=int, default=2)
     args = parser.parse_args(argv)
 
     from repro.profiling import run_profile
@@ -186,14 +114,6 @@ def main(argv=None):
                      f"{base:,.0f})")
         print(line)
 
-    megagrid_section = None
-    if args.megagrid:
-        megagrid_section, mega_problems = run_megagrid(
-            bench, args.megagrid_rows, args.megagrid_cols,
-            args.megagrid_shards,
-        )
-        problems.extend(mega_problems)
-
     if problems:
         print("DETERMINISM MISMATCH against recorded baseline:")
         for problem in problems:
@@ -219,8 +139,6 @@ def main(argv=None):
             "totals": report["totals"],
         }
         bench["speedup"] = speedup
-        if megagrid_section is not None:
-            bench["megagrid"] = megagrid_section
         with open(args.bench_file, "w") as fh:
             json.dump(bench, fh, indent=2)
             fh.write("\n")

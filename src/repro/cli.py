@@ -281,12 +281,6 @@ def _build_parser():
                         default="saturation,dissemination",
                         help="comma list of workloads (default "
                              "saturation,dissemination; also: megagrid)")
-    prof_p.add_argument("--shards", type=int, default=None,
-                        help="megagrid: run region-sharded as an NxN "
-                             "tiling (default: monolithic)")
-    prof_p.add_argument("--workers", type=int, default=None,
-                        help="megagrid: shard worker processes; "
-                             "0/1 = serial (default 0)")
     prof_p.add_argument("--frames", type=int, default=None,
                         help="saturation: frames per node (default 96)")
     prof_p.add_argument("--range", type=float, default=None, dest="range_ft",
@@ -881,10 +875,6 @@ def _cmd_profile(args, out):
         overrides["range_ft"] = args.range_ft
     if args.segment_packets is not None:
         overrides["segment_packets"] = args.segment_packets
-    if args.shards is not None:
-        overrides["shards"] = args.shards
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     report = run_profile(workloads=workloads, rows=rows, cols=cols,
                          seed=args.seed, **overrides)
     if args.output:

@@ -16,7 +16,7 @@ from repro.core.segments import CodeImage
 from repro.hardware.mote import Mote, MoteConfig
 from repro.metrics.collector import MetricsCollector
 from repro.net.loss_models import EmpiricalLossModel
-from repro.radio.channel import make_channel
+from repro.radio.channel import Channel
 from repro.radio.propagation import PropagationModel
 from repro.sim.kernel import MINUTE, SECOND, Simulator
 
@@ -242,12 +242,6 @@ class Deployment:
         of group ids`` assigning group memberships (MNP only); nodes
         absent from the mapping belong to no group and ignore
         group-targeted objects.
-    node_ids:
-        Optional subset of topology node ids to populate with motes
-        (used by the region-sharded driver, which gives every tile the
-        full topology but only its own motes).  ``base_id`` may then
-        name a node outside the subset, in which case no local node
-        holds the image.
     security:
         Optional :class:`repro.core.auth.SecurityConfig`.  When enabled,
         every node is armed with the secure OTA pipeline: the MNP family
@@ -268,7 +262,6 @@ class Deployment:
         mote_config=None,
         seed=0,
         groups_by_node=None,
-        node_ids=None,
         security=None,
     ):
         self.topology = topology
@@ -279,7 +272,7 @@ class Deployment:
         self.collector = MetricsCollector(self.sim)
         self.propagation = propagation or PropagationModel.outdoor()
         self.loss_model = loss_model or EmpiricalLossModel(seed=seed)
-        self.channel = make_channel(
+        self.channel = Channel(
             self.sim, topology, self.loss_model, self.propagation, seed=seed
         )
         self.mote_config = mote_config or MoteConfig()
@@ -296,13 +289,7 @@ class Deployment:
             protocol_config = MNPConfig()
         self.motes = {}
         self.nodes = {}
-        # The sharded driver builds motes for a tile's nodes only while
-        # keeping the full topology (so ghost transmissions from
-        # neighbouring tiles use identical link geometry).
-        populated = (
-            topology.node_ids() if node_ids is None else list(node_ids)
-        )
-        for node_id in populated:
+        for node_id in topology.node_ids():
             mote = Mote(self.sim, self.channel, node_id,
                         config=self.mote_config, seed=seed)
             self.motes[node_id] = mote

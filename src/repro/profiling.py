@@ -28,7 +28,7 @@ import time
 from repro.core.segments import CodeImage
 from repro.net.loss_models import EmpiricalLossModel
 from repro.net.topology import Topology
-from repro.radio.channel import make_channel
+from repro.radio.channel import Channel
 from repro.radio.mac import CsmaMac
 from repro.radio.propagation import PropagationModel
 from repro.radio.radio import Radio
@@ -89,8 +89,8 @@ def profile_saturation(rows=20, cols=20, spacing_ft=10.0, range_ft=13.0,
     """
     sim = Simulator(seed=seed)
     topology = Topology.grid(rows, cols, spacing_ft)
-    channel = make_channel(sim, topology, EmpiricalLossModel(seed=seed),
-                           PropagationModel(range_ft, 3.0), seed=seed)
+    channel = Channel(sim, topology, EmpiricalLossModel(seed=seed),
+                      PropagationModel(range_ft, 3.0), seed=seed)
     senders = []
     for node_id in topology.node_ids():
         radio = Radio(sim, node_id)
@@ -176,101 +176,16 @@ def profile_dissemination(rows=20, cols=20, spacing_ft=10.0, range_ft=13.0,
 
 def profile_megagrid(rows=100, cols=100, spacing_ft=10.0, range_ft=21.0,
                      n_segments=1, segment_packets=24, seed=0,
-                     deadline_min=480.0, shards=0, workers=0):
-    """Mega-scale MNP dissemination (ROADMAP: "100x100 is interactive").
-
-    The wider radio range (degree ~12 at 10 ft spacing) is the regime
-    where the vectorized channel's positional link-budget rows and
-    blocked draws pay off.  With ``shards == 0`` this is one monolithic
-    deployment: the end-to-end number, directly comparable -- identical
-    ``checks`` -- between the scalar (``REPRO_NO_VECTOR=1``) and
-    vectorized channels.  With ``shards >= 2`` the grid runs under the
-    region-sharded driver as a ``shards x shards`` tiling fanned out
-    over ``workers`` processes; boundary semantics are then
-    approximate-but-deterministic (ghost traffic arrives one epoch
-    late), so its ``checks`` are sharded-specific and must not be
-    compared to the monolithic run.
-    """
-    if shards and shards >= 2:
-        from repro.sim.vector_kernel import ShardPlan, ShardedGrid
-
-        plan = ShardPlan(rows=rows, cols=cols, spacing_ft=spacing_ft,
-                         range_ft=range_ft, tiles_x=shards, tiles_y=shards,
-                         n_segments=n_segments,
-                         segment_packets=segment_packets, seed=seed,
-                         deadline_min=deadline_min)
-        wall0 = time.perf_counter()
-        result = ShardedGrid(plan, workers=workers).run()
-        wall_s = time.perf_counter() - wall0
-        events = result["events"]
-        return {
-            "workload": {
-                "name": "megagrid",
-                "grid": [rows, cols],
-                "spacing_ft": spacing_ft,
-                "range_ft": range_ft,
-                "n_segments": n_segments,
-                "segment_packets": segment_packets,
-                "seed": seed,
-                "deadline_min": deadline_min,
-                "shards": shards,
-                "workers": workers,
-            },
-            "events": events,
-            "wall_s": wall_s,
-            "events_per_sec": events / wall_s if wall_s else None,
-            "sim_ms": result["sim_ms"],
-            "counters": {
-                "ghost_transmissions": result["ghost_transmissions"],
-                "epochs": result["epochs"],
-                "tiles": shards * shards,
-            },
-            "checks": {
-                "coverage": result["coverage"],
-                "completion_ms": result["completion_ms"],
-                "messages_sent": result["messages_sent"],
-                "collisions": result["collisions"],
-            },
-        }
-    from repro.experiments.common import Deployment
-
-    topology = Topology.grid(rows, cols, spacing_ft)
-    image = CodeImage.random(1, n_segments=n_segments,
-                             segment_packets=segment_packets, seed=seed)
-    deployment = Deployment(
-        topology, image=image, protocol="mnp", seed=seed,
-        propagation=PropagationModel(range_ft, 3.0),
-        loss_model=EmpiricalLossModel(seed=seed),
-    )
-    wall0 = time.perf_counter()
-    result = deployment.run_to_completion(deadline_ms=deadline_min * MINUTE)
-    wall_s = time.perf_counter() - wall0
-    events = deployment.sim.events_executed
-    return {
-        "workload": {
-            "name": "megagrid",
-            "grid": [rows, cols],
-            "spacing_ft": spacing_ft,
-            "range_ft": range_ft,
-            "n_segments": n_segments,
-            "segment_packets": segment_packets,
-            "seed": seed,
-            "deadline_min": deadline_min,
-            "shards": 0,
-            "workers": 0,
-        },
-        "events": events,
-        "wall_s": wall_s,
-        "events_per_sec": events / wall_s if wall_s else None,
-        "sim_ms": deployment.sim.now,
-        "counters": _channel_counters(deployment.channel),
-        "checks": {
-            "coverage": result.coverage,
-            "completion_ms": result.completion_time_ms,
-            "messages_sent": sum(result.messages_sent().values()),
-            "collisions": result.collector.collisions,
-        },
-    }
+                     deadline_min=480.0):
+    """Mega-scale MNP dissemination: :func:`profile_dissemination` on a
+    100x100 grid with a wider radio range (degree ~12 at 10 ft spacing)
+    and one 24-packet segment."""
+    phase = profile_dissemination(
+        rows=rows, cols=cols, spacing_ft=spacing_ft, range_ft=range_ft,
+        n_segments=n_segments, segment_packets=segment_packets, seed=seed,
+        deadline_min=deadline_min)
+    phase["workload"]["name"] = "megagrid"
+    return phase
 
 
 #: Workload name -> profile function (keyword args: grid + seed).
@@ -340,19 +255,14 @@ def render_profile(report):
         lines.append(f"    wall:            {phase['wall_s']:.2f} s")
         lines.append(f"    events/sec:      {phase['events_per_sec']:,.0f}")
         lines.append(f"    sim time:        {phase['sim_ms'] / 1000:.1f} s")
-        if "transmissions" in c:
-            lines.append(f"    transmissions:   {c['transmissions']}")
-            lines.append(f"    carrier polls:   {c['carrier_polls']}")
-            lines.append(
-                f"    link cache:      "
-                + (f"{c['link_cache_hits']} hits, "
-                   f"{c['link_cache_misses']} misses"
-                   if c["link_cache_enabled"] else "disabled")
-            )
-        if "ghost_transmissions" in c:
-            lines.append(f"    tiles:           {c['tiles']} "
-                         f"({c['epochs']} epochs)")
-            lines.append(f"    ghost tx:        {c['ghost_transmissions']}")
+        lines.append(f"    transmissions:   {c['transmissions']}")
+        lines.append(f"    carrier polls:   {c['carrier_polls']}")
+        lines.append(
+            f"    link cache:      "
+            + (f"{c['link_cache_hits']} hits, "
+               f"{c['link_cache_misses']} misses"
+               if c["link_cache_enabled"] else "disabled")
+        )
     totals = report["totals"]
     lines.append(f"  total: {totals['events']} events in "
                  f"{totals['wall_s']:.2f} s "

@@ -32,14 +32,12 @@ closest-point-of-approach optimization of per-bit simulation):
   for differential tests);
 * per-directed-edge BER and per-``(edge, frame size)`` decode
   probabilities are cached when the loss model is static
-  (``is_time_varying`` is False); set ``REPRO_NO_LINK_CACHE=1`` to force
-  the uncached path (both paths are bit-identical);
+  (``is_time_varying`` is False); time-varying models take the uncached
+  path (both paths are bit-identical);
 * communication ranges are frozen per power level at first use, so the
   neighbor cache can never silently go stale; call
   :meth:`invalidate_neighbors` after reconfiguring propagation.
 """
-
-import os
 
 from repro.sim.rng import derive_rng
 
@@ -121,12 +119,6 @@ class Channel:
         # only from its own derived stream so a no-op hook leaves runs
         # bit-identical.
         self.decode_hook = None
-        # Sharding layer: foreign (ghost) transmissions replayed from a
-        # neighbouring region (see repro.sim.vector_kernel.ShardedGrid)
-        # and an optional ``fn(tx)`` observer called as each local
-        # transmission starts (used to export boundary traffic).
-        self.foreign_transmissions = 0
-        self.on_transmit = None
 
     # ------------------------------------------------------------------
     # Loss model / link cache
@@ -146,10 +138,8 @@ class Channel:
         self._loss_model = model
         self._ber_cache.clear()
         self._decode_cache.clear()
-        self._link_cache_enabled = (
-            not getattr(model, "is_time_varying", True)
-            and os.environ.get("REPRO_NO_LINK_CACHE") != "1"
-        )
+        self._link_cache_enabled = not getattr(model, "is_time_varying",
+                                               True)
 
     @property
     def link_cache_enabled(self):
@@ -183,11 +173,6 @@ class Channel:
         self._radios[radio.node_id] = radio
         radio.channel = self
         self._receptions.setdefault(radio.node_id, {})
-
-    def radio_turned_on(self, radio):
-        """Hook: ``radio`` switched on.  The scalar channel reads power
-        state straight off the radio objects; the vectorized channel
-        overrides this to keep its state arrays in sync."""
 
     def _range_for(self, power_level):
         """Communication range at ``power_level``, frozen at first use.
@@ -304,45 +289,9 @@ class Channel:
                 bytes=frame.on_air_bytes,
                 power=radio.power_level,
             )
-        if self.on_transmit is not None:
-            self.on_transmit(tx)
         self._open_receptions(tx)
         self.sim.schedule(airtime, self._finish_transmission, tx, on_done)
         return airtime
-
-    def inject_foreign(self, src, frame, range_ft):
-        """Replay a transmission whose sender lives in another shard.
-
-        ``src`` must be a topology node id with *no* attached radio (the
-        sender's mote is simulated by a neighbouring tile; see
-        :class:`repro.sim.vector_kernel.ShardedGrid`).  The frame
-        occupies the carrier at every in-range local node and is decoded
-        with exactly the unsharded per-edge link budgets; only
-        sender-side bookkeeping (``radio.tx``, energy, counters) is
-        skipped -- the origin tile accounts for those.
-        """
-        if src in self._radios:
-            raise ValueError(f"node {src} is local; use transmit()")
-        if src in self._active:
-            raise RuntimeError(f"foreign source {src}: already on the air")
-        airtime = self.airtime_ms(frame)
-        listeners = self._foreign_listeners(src, range_ft)
-        tx = _Transmission(src, frame, self.sim.now, self.sim.now + airtime,
-                           range_ft, listeners)
-        self._active[src] = tx
-        self.foreign_transmissions += 1
-        self._open_receptions(tx)
-        self.sim.schedule(airtime, self._finish_transmission, tx, None)
-        return airtime
-
-    def _foreign_listeners(self, src, range_ft):
-        """In-range node list for a ghost source (cached per range)."""
-        key = (src, "foreign", range_ft)
-        cached = self._neighbor_cache.get(key)
-        if cached is None:
-            cached = self.topology.nodes_within(src, range_ft)
-            self._neighbor_cache[key] = cached
-        return cached
 
     def _open_receptions(self, tx):
         # The carrier becomes audible at every in-range node; reception
@@ -391,15 +340,13 @@ class Channel:
             receiver.rx_began()
 
     def _finish_transmission(self, tx, on_done):
-        self._active.pop(tx.src, None)
-        # Foreign (ghost) transmissions have no local sender radio.
-        sender = self._radios.get(tx.src)
         if not tx.aborted:
-            # An aborted transmission already released its carrier in
-            # radio_went_off.
+            # An aborted transmission already left ``_active`` and
+            # released its carrier in radio_went_off; by now its sender
+            # may be on the air with a newer frame, which must stay.
+            del self._active[tx.src]
             self._release_carrier(tx)
-            if sender is not None:
-                sender.tx_finished(self.sim.now - tx.start)
+            self._radios[tx.src].tx_finished(self.sim.now - tx.start)
         # Resolve receptions at the nodes this frame actually reached --
         # never scan the whole network's reception tables.  Per-frame
         # invariants are hoisted out of the receiver loop.
@@ -498,24 +445,3 @@ class Channel:
         for _ in range(len(own)):
             radio.rx_ended()
         own.clear()
-
-
-def make_channel(sim, topology, loss_model, propagation,
-                 bitrate_kbps=MICA2_BITRATE_KBPS, seed=0):
-    """Build the fastest available channel implementation.
-
-    Returns a :class:`repro.radio.vector_channel.VectorChannel` when
-    numpy is importable and ``REPRO_NO_VECTOR`` is unset, else the
-    scalar :class:`Channel`.  Both are bit-identical per seed (the
-    differential suite pins this), so callers may treat the choice as a
-    pure performance knob.
-    """
-    from repro.sim.vector_kernel import vector_enabled
-
-    if vector_enabled():
-        from repro.radio.vector_channel import VectorChannel
-
-        return VectorChannel(sim, topology, loss_model, propagation,
-                             bitrate_kbps=bitrate_kbps, seed=seed)
-    return Channel(sim, topology, loss_model, propagation,
-                   bitrate_kbps=bitrate_kbps, seed=seed)

@@ -54,8 +54,6 @@ class Radio:
         self.is_on = True
         self.on_off_transitions += 1
         self._on_since = self.sim.now
-        if self.channel is not None:
-            self.channel.radio_turned_on(self)
 
     def turn_off(self):
         """Switch the radio off; any in-flight receptions are lost and an

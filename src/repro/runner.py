@@ -66,7 +66,6 @@ EXPERIMENTS = {
     "chaos": "repro.experiments.chaos:chaos_experiment",
     "adversary": "repro.experiments.adversary:adversary_experiment",
     "conformance": "repro.conformance.execute:conformance_experiment",
-    "sharded": "repro.experiments.sharded:sharded_experiment",
     "coding": "repro.experiments.coding:coding_experiment",
     "probe": "repro.experiments.probe:probe_experiment",
 }

@@ -1,13 +1,16 @@
 """Regression tests for event-queue and channel accounting bugs.
 
-Three bugs, each with a pinned reproduction:
+Four bugs, each with a pinned reproduction:
 
 * cancelling an event that already fired used to decrement the queue's
   live count, making ``run()`` stop with live events still pending;
 * switching a radio off mid-reception used to drop the in-flight
   receptions without closing the rx interval accounting;
 * frame decode used ``random() <= success_p``, so a saturated link
-  (``success_p == 0``) could still deliver when the RNG drew exactly 0.0.
+  (``success_p == 0``) could still deliver when the RNG drew exactly 0.0;
+* the finish event of an aborted frame used to evict the sender's next
+  frame from the channel's active set, so switching the radio off again
+  no longer aborted that frame.
 
 Plus the hot-path guarantee the parallel runner leans on: resolving a
 transmission touches only the sender's audible neighbors, never every
@@ -187,6 +190,30 @@ def test_certain_success_still_delivers():
     channel.transmit(a, Frame(0, "x", 20))
     sim.run()
     assert len(got) == 1
+
+
+# ----------------------------------------------------------------------
+# Bug 4: an aborted frame's finish event evicting the next frame
+# ----------------------------------------------------------------------
+def test_aborted_frame_finish_keeps_next_frame_abortable():
+    # Frame 1 is aborted at 5 ms, frame 2 starts at 10 ms; frame 1's
+    # finish event (22.5 ms) falls inside frame 2, which is then aborted
+    # at 25 ms.  Neither frame may count as sent or reach the neighbour.
+    sim, channel, (a, b) = build(Topology.grid(1, 2, 5.0).positions)
+    a.turn_on()
+    b.turn_on()
+    airtime = channel.transmit(a, Frame(0, "first", 36))
+    assert airtime == 22.5
+    sim.schedule(5.0, a.turn_off)
+    sim.schedule(6.0, a.turn_on)
+    sim.schedule(10.0, lambda: channel.transmit(a, Frame(0, "second", 36)))
+    sim.schedule(25.0, a.turn_off)
+    sim.run()
+    assert a.frames_sent == 0
+    assert a.tx_time_ms() == 0.0
+    assert b.frames_received == 0
+    assert not channel._active
+    assert all(count == 0 for count in channel._carrier.values())
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,12 @@ the fast path against ground truth:
 * ``Channel.carrier_busy`` (per-node audible counters) vs
   ``Channel._carrier_busy_bruteforce`` (scan over active transmissions),
   compared at every node after every executed event of a saturated run;
-* ``Topology.grid_index`` bucket lookups vs ``nodes_within_linear``,
-  compared over random topologies and radii (same ids, same order);
-* the static link-budget cache vs recomputing every BER draw
-  (``REPRO_NO_LINK_CACHE=1``), compared as full end-to-end metric
+* ``Topology.grid_index`` bucket lookups, and ``Topology.nodes_within``
+  through its shared power-of-two radius classes, vs
+  ``nodes_within_linear``, compared over random topologies and radii
+  (same ids, same order);
+* the static link-budget cache vs recomputing every BER draw (the path
+  a time-varying loss model takes), compared as full end-to-end metric
   summaries of a fixed-seed MNP run (bit-identical floats).
 
 Plus regressions for the ``run_until`` dead-air fold (O(events) loop
@@ -123,24 +125,54 @@ class TestGridIndexDifferential:
         topo = Topology.grid(3, 3, 10.0)
         assert topo.nodes_within(4, 0.0) == topo.nodes_within_linear(4, 0.0)
 
+    def test_radius_classes_are_shared(self):
+        topo = Topology.grid(8, 8, 10.0)
+        # A power sweep's worth of distinct radii...
+        radii = [13.0, 16.0, 21.0, 25.0, 30.0, 31.9, 60.0]
+        for radius in radii:
+            for node in (0, 27, 63):
+                assert topo.nodes_within(node, radius) == \
+                    topo.nodes_within_linear(node, radius)
+        # ...lands on a logarithmic number of shared index classes.
+        assert set(topo._grid_indices) == {16.0, 32.0, 64.0}
+
+    def test_radius_class_quantization(self):
+        assert Topology.radius_class(13.0) == 16.0
+        assert Topology.radius_class(16.0) == 16.0
+        assert Topology.radius_class(16.1) == 32.0
+        assert Topology.radius_class(0.4) == 0.5
+
+    def test_random_topologies_via_classes(self):
+        """``Topology.nodes_within`` -- served from the shared radius-class
+        indices -- matches the linear scan on random placements."""
+        for trial in range(3):
+            rng = random.Random(100 + trial)
+            topo = Topology(
+                [(rng.uniform(0, 150.0), rng.uniform(0, 150.0))
+                 for _ in range(40)]
+            )
+            for radius in (7.3, 19.0, 33.3, 90.0):
+                for node in topo.node_ids():
+                    assert topo.nodes_within(node, radius) == \
+                        topo.nodes_within_linear(node, radius)
+
 
 class TestLinkCacheDeterminism:
     def test_cached_run_bit_identical_to_uncached(self, monkeypatch):
         """The fixed-seed MNP metric summary is byte-identical with the
-        link cache enabled and with ``REPRO_NO_LINK_CACHE=1`` -- caching
-        must never change a single RNG draw or float."""
+        link cache enabled and with the loss model marked time-varying
+        (the uncached path) -- caching must never change a single RNG
+        draw or float."""
         from repro.runner import RunSpec, execute_spec
 
         spec = RunSpec("grid", protocol="mnp", scale="smoke", seed=3,
                        rows=5, cols=5, n_segments=1, segment_packets=8)
-        monkeypatch.delenv("REPRO_NO_LINK_CACHE", raising=False)
         cached = execute_spec(spec)
-        monkeypatch.setenv("REPRO_NO_LINK_CACHE", "1")
+        monkeypatch.setattr(EmpiricalLossModel, "is_time_varying", True)
         uncached = execute_spec(spec)
         assert cached == uncached
 
-    def test_cache_actually_engages(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_LINK_CACHE", raising=False)
+    def test_cache_actually_engages(self):
         sim, topology, channel = _saturated_channel(
             [(x * 9.0, 0.0) for x in range(6)],
             range_ft=20.0, frames_per_node=4)
@@ -150,8 +182,8 @@ class TestLinkCacheDeterminism:
         # One miss per (src, dst, range, frame size) at most.
         assert channel.link_cache_misses <= len(topology) ** 2
 
-    def test_escape_hatch_disables_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_LINK_CACHE", "1")
+    def test_time_varying_flag_bypasses_cache(self, monkeypatch):
+        monkeypatch.setattr(EmpiricalLossModel, "is_time_varying", True)
         sim, topology, channel = _saturated_channel(
             [(x * 9.0, 0.0) for x in range(6)],
             range_ft=20.0, frames_per_node=4)

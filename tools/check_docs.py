@@ -18,7 +18,9 @@ Two families of checks, both offline and dependency-free:
      ``_REPRO_TEMPLATE`` do not count).
 
    A mention anywhere under ``docs/`` or in ``README.md`` satisfies the
-   lint.
+   lint.  The reverse holds too: every ``REPRO_*`` name those docs
+   mention must be referenced by code under ``src/`` or ``benchmarks/``,
+   so text about a deleted variable fails CI.
 
 Exit status 0 when clean, 1 with one ``file: problem`` line per finding.
 """
@@ -130,11 +132,24 @@ def repro_subcommands():
     raise AssertionError("repro.cli._build_parser() has no subcommands")
 
 
-def src_env_vars():
+def code_env_vars(*roots):
+    """``REPRO_*`` names referenced by Python files under ``roots``."""
     names = set()
-    for path in (REPO / "src").rglob("*.py"):
-        names.update(_ENV_RE.findall(path.read_text(encoding="utf-8")))
+    for root in roots:
+        for path in (REPO / root).rglob("*.py"):
+            names.update(_ENV_RE.findall(path.read_text(encoding="utf-8")))
     return sorted(names)
+
+
+def src_env_vars():
+    return code_env_vars("src")
+
+
+def stale_env_vars(corpus):
+    """``REPRO_*`` names in ``corpus`` that no code under ``src/`` or
+    ``benchmarks/`` references."""
+    known = set(code_env_vars("src", "benchmarks"))
+    return sorted(set(_ENV_RE.findall(corpus)) - known)
 
 
 def check_drift():
@@ -150,6 +165,10 @@ def check_drift():
             problems.append(
                 f"docs drift: env var {var} (used in src/) is documented "
                 f"nowhere under docs/ or README.md")
+    for var in stale_env_vars(corpus):
+        problems.append(
+            f"docs drift: env var {var} is documented under docs/ or "
+            f"README.md but read nowhere under src/ or benchmarks/")
     return problems
 
 
