@@ -78,21 +78,38 @@ def gf256_inv(a):
     return _EXP[255 - _LOG[a]]
 
 
+def _product_tables():
+    """``table[c]`` maps every byte ``x`` to ``c * x``, so
+    ``row.translate(table[c])`` scales a whole row by ``c`` in C.
+
+    The table for ``2**(i+1)`` is the table for ``2**i`` translated
+    through the times-two table; 2 generates the field, so 255 steps
+    reach every nonzero ``c``."""
+    times2 = bytes((x << 1) ^ GF256_POLY if x & 0x80 else x << 1
+                   for x in range(256))
+    tables = [bytes(256)] * 256
+    row = bytes(range(256))
+    for i in range(255):
+        tables[_EXP[i]] = row
+        row = row.translate(times2)
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # Field descriptors
 # ---------------------------------------------------------------------------
 
 
 class _GF256:
-    """GF(2^8): byte coefficients, table-driven multiply."""
+    """GF(2^8): byte coefficients, whole-row product tables."""
 
     name = "gf256"
+    table = _product_tables()
 
     @staticmethod
     def draw_coeffs(n, rng):
         return tuple(rng.randrange(256) for _ in range(n))
 
-    mul = staticmethod(gf256_mul)
     inv = staticmethod(gf256_inv)
 
     @staticmethod
@@ -101,18 +118,16 @@ class _GF256:
 
 
 class _GF2:
-    """GF(2): bit coefficients, XOR-only arithmetic."""
+    """GF(2): bit coefficients, XOR-only arithmetic.  Coefficients are
+    always 0 or 1, so only the zero and identity rows are needed."""
 
     name = "gf2"
+    table = (bytes(256), bytes(range(256)))
 
     @staticmethod
     def draw_coeffs(n, rng):
         bits = rng.getrandbits(n)
         return tuple((bits >> i) & 1 for i in range(n))
-
-    @staticmethod
-    def mul(a, b):
-        return a & b
 
     @staticmethod
     def inv(a):
@@ -165,39 +180,6 @@ def unpack_coeffs(data, n, field="gf256"):
 
 
 # ---------------------------------------------------------------------------
-# Row operations shared by encoder and decoder
-# ---------------------------------------------------------------------------
-
-
-def _scale_row(coeffs, payload, factor, field):
-    """In-place ``row *= factor`` (bytearrays)."""
-    if factor == 1:
-        return
-    mul = field.mul
-    for j in range(len(coeffs)):
-        coeffs[j] = mul(factor, coeffs[j])
-    for j in range(len(payload)):
-        payload[j] = mul(factor, payload[j])
-
-
-def _subtract_scaled(coeffs, payload, factor, p_coeffs, p_payload, field):
-    """In-place ``row -= factor * pivot_row`` (addition is XOR in GF(2^k))."""
-    if factor == 0:
-        return
-    if factor == 1:
-        for j in range(len(coeffs)):
-            coeffs[j] ^= p_coeffs[j]
-        for j in range(len(payload)):
-            payload[j] ^= p_payload[j]
-        return
-    mul = field.mul
-    for j in range(len(coeffs)):
-        coeffs[j] ^= mul(factor, p_coeffs[j])
-    for j in range(len(payload)):
-        payload[j] ^= mul(factor, p_payload[j])
-
-
-# ---------------------------------------------------------------------------
 # Encoder
 # ---------------------------------------------------------------------------
 
@@ -245,18 +227,12 @@ class GenerationEncoder:
             coeffs = self.field.draw_coeffs(self.n, self.rng)
             if any(coeffs):
                 break
-        payload = bytearray(self.payload_len)
-        mul = self.field.mul
+        table = self.field.table
+        acc = 0
         for c, row in zip(coeffs, self._rows):
-            if c == 0:
-                continue
-            if c == 1:
-                for j in range(self.payload_len):
-                    payload[j] ^= row[j]
-            else:
-                for j in range(self.payload_len):
-                    payload[j] ^= mul(c, row[j])
-        return coeffs, bytes(payload)
+            if c:
+                acc ^= int.from_bytes(row.translate(table[c]), "little")
+        return coeffs, acc.to_bytes(self.payload_len, "little")
 
     def ram_bytes(self):
         """Sender-side generation buffer (packets cached in RAM)."""
@@ -282,7 +258,9 @@ class GenerationDecoder:
         self.field = _field(field)
         self.n = n
         self.payload_len = payload_len
-        # pivot column -> (coeff bytearray, payload bytearray), reduced.
+        self._row_len = n + payload_len
+        self._coeff_mask = (1 << (8 * n)) - 1
+        # pivot column -> reduced row: n coefficient bytes, then payload.
         self._pivots = {}
 
     @property
@@ -298,36 +276,44 @@ class GenerationDecoder:
 
         Malformed rows (wrong coefficient count or payload length -- e.g.
         a truncated header surviving a corrupted decode) are rejected as
-        non-innovative rather than poisoning the matrix.
+        non-innovative rather than poisoning the matrix.  At full rank
+        nothing is innovative, so every row is rejected at once.
         """
-        if len(coeffs) != self.n or len(payload) != self.payload_len:
+        pivots = self._pivots
+        if (len(pivots) == self.n or len(coeffs) != self.n
+                or len(payload) != self.payload_len):
             return False
-        row_c = bytearray(coeffs)
-        row_p = bytearray(payload)
-        field = self.field
-        # Reduce against every existing pivot.
-        for col, (p_c, p_p) in self._pivots.items():
-            _subtract_scaled(row_c, row_p, row_c[col], p_c, p_p, field)
-        # Find this row's pivot column, if anything survived.
-        pivot = -1
-        for col in range(self.n):
-            if row_c[col]:
-                pivot = col
-                break
-        if pivot < 0:
+        table = self.field.table
+        # Reduce against every existing pivot.  Read as a little-endian
+        # integer, a row is subtracted (XORed) in one operation.
+        acc = int.from_bytes(bytes(coeffs) + payload, "little")
+        for col, p_row in pivots.items():
+            c = (acc >> (8 * col)) & 0xFF
+            if c:
+                acc ^= int.from_bytes(p_row.translate(table[c]), "little")
+        # This row's pivot is its lowest nonzero coefficient byte.
+        low = acc & self._coeff_mask
+        if not low:
             return False  # linearly dependent (e.g. a duplicate)
-        _scale_row(row_c, row_p, field.inv(row_c[pivot]), field)
+        pivot = ((low & -low).bit_length() - 1) >> 3
+        row = acc.to_bytes(self._row_len, "little")
+        row = row.translate(table[self.field.inv(row[pivot])])
         # Back-eliminate the new pivot column from every existing row.
-        for p_c, p_p in self._pivots.values():
-            _subtract_scaled(p_c, p_p, p_c[pivot], row_c, row_p, field)
-        self._pivots[pivot] = (row_c, row_p)
+        for col, p_row in pivots.items():
+            c = p_row[pivot]
+            if c:
+                pivots[col] = (
+                    int.from_bytes(p_row, "little")
+                    ^ int.from_bytes(row.translate(table[c]), "little")
+                ).to_bytes(self._row_len, "little")
+        pivots[pivot] = row
         return True
 
     def packet(self, packet_id):
         """Plaintext packet ``packet_id`` (only once :attr:`is_complete`)."""
         if not self.is_complete:
             raise ValueError("generation not yet decodable")
-        return bytes(self._pivots[packet_id][1])
+        return self._pivots[packet_id][self.n:]
 
     def ram_bytes(self):
         """Decoder matrix residency: rank rows of (coeffs + payload)."""
