@@ -404,11 +404,15 @@ class FaultController:
     def _corrupt_message(msg, rng):
         """A copy of ``msg`` with one integer header field bit-flipped
         (payload bytes and nested objects are left alone -- bad payload
-        bytes are modeled by EEPROM corruption instead).  Returns
+        bytes are modeled by EEPROM corruption instead).  Fields inherited
+        from a slotted base class (a coded packet's ``seg_id``, a signed
+        advertisement's ``req_ctr``) are candidates too.  Returns
         ``(copy, field_name)`` or ``(None, None)`` when the message has
         no mutable integer field."""
         fields = [
-            name for name in type(msg).__slots__
+            name
+            for cls in reversed(type(msg).__mro__)
+            for name in getattr(cls, "__slots__", ())
             if isinstance(getattr(msg, name), int)
         ]
         if not fields:

@@ -1,8 +1,11 @@
 """Tests for the fault-injection subsystem (plans, controller, hooks)."""
 
+import random
+
 import pytest
 
 from repro.core.config import MNPConfig
+from repro.core.messages import CodedDataPacket, SignedAdvertisement
 from repro.core.segments import CodeImage
 from repro.core.states import MNPState
 from repro.experiments.chaos import run_chaos
@@ -243,6 +246,25 @@ def test_decode_corruption_drops_frames_but_network_recovers():
     assert out.survivor_coverage == 1.0
     assert out.corrupt_images == 0
 
+
+def test_decode_corruption_reaches_inherited_header_fields():
+    """Regression: the field to flip was drawn from the concrete class's
+    own ``__slots__`` only, so a coded packet could only ever have its
+    ``tail_len`` flipped and a signed advertisement its ``nonce``."""
+    rng = random.Random(11)
+    coded = CodedDataPacket(3, 1, (5, 7), b"\x00" * 23, tail_len=23)
+    chosen = set()
+    for _ in range(40):
+        bad, field = FaultController._corrupt_message(coded, rng)
+        assert getattr(bad, field) != getattr(coded, field)
+        chosen.add(field)
+    assert "seg_id" in chosen
+    assert chosen <= {"source_id", "seg_id", "packet_id", "tail_len"}
+    adv = SignedAdvertisement(3, 1, 2, 1, 1, 4, 16, 16, image_crc=0xBEEF,
+                              nonce=9, tag=b"\x00" * 32)
+    chosen = {FaultController._corrupt_message(adv, rng)[1]
+              for _ in range(60)}
+    assert {"program_id", "req_ctr", "nonce"} <= chosen
 
 def test_partition_delays_the_far_group():
     # 1x4 line: sever {0,1} from {2,3} for the first 15 s.
