@@ -269,12 +269,12 @@ class Deployment:
                                                seed=seed)
         self.seed = seed
         self.sim = Simulator(seed=seed)
-        self.collector = MetricsCollector(self.sim)
         self.propagation = propagation or PropagationModel.outdoor()
         self.loss_model = loss_model or EmpiricalLossModel(seed=seed)
         self.channel = Channel(
             self.sim, topology, self.loss_model, self.propagation, seed=seed
         )
+        self.collector = MetricsCollector(self.sim, self.channel)
         self.mote_config = mote_config or MoteConfig()
         self.base_id = (
             topology.corner_node("bottom-left") if base_id is None else base_id

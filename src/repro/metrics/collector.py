@@ -1,22 +1,23 @@
-"""Trace-driven metrics collection.
+"""Metrics collection for one run.
 
-A :class:`MetricsCollector` is attached to a simulator *before* the run and
-accumulates protocol- and radio-level events; at the end of the run the
-experiment harness combines them with the radios' time integrals to produce
-the paper's metrics.  Collection is entirely passive -- protocols are
-unaware of it.
+A :class:`MetricsCollector` is attached to a simulator *before* the run.
+Protocol milestones (senders, parents, segments, completions, first
+advertisements, fails) come from trace records; per-frame counts
+(transmissions, decoded frames, collisions) are read from the channel
+and its radios, which count every frame themselves -- the same way
+energy comes from the radios' time integrals.  At the end of the run the
+experiment harness combines both into the paper's metrics.  Collection
+is entirely passive -- protocols are unaware of it.
 """
 
 from collections import Counter, defaultdict
 
 
 class MetricsCollector:
-    """Accumulates trace records for one simulation run."""
+    """Protocol milestones from trace records, per-frame counts from
+    ``channel``."""
 
     CATEGORIES = (
-        "radio.tx",
-        "radio.rx",
-        "channel.collision",
         "mnp.sender",
         "mnp.parent",
         "mnp.got_segment",
@@ -28,14 +29,9 @@ class MetricsCollector:
         "proto.got_code",
     )
 
-    def __init__(self, sim):
+    def __init__(self, sim, channel):
         self.sim = sim
-        # Transmissions / receptions
-        self.tx_by_node = Counter()
-        self.tx_by_node_kind = defaultdict(Counter)
-        self.tx_log = []  # (time, node, kind)
-        self.rx_by_node = Counter()
-        self.collisions = 0
+        self.channel = channel
         # Protocol progress
         self.got_code = {}  # node -> time
         self.got_segment = defaultdict(dict)  # node -> seg -> (time, parent)
@@ -46,20 +42,46 @@ class MetricsCollector:
         sim.tracer.subscribe(self._on_record, categories=self.CATEGORIES)
 
     # ------------------------------------------------------------------
+    # Per-frame views over the channel's own counts (read-only)
+    # ------------------------------------------------------------------
+    @property
+    def tx_log(self):
+        """``(time, node, kind)`` per transmission started, aborted ones
+        included."""
+        return self.channel.tx_log
+
+    @property
+    def tx_by_node(self):
+        """node -> transmissions started, in first-transmission order."""
+        return Counter(node for _, node, _ in self.channel.tx_log)
+
+    @property
+    def tx_by_node_kind(self):
+        """node -> payload kind -> transmissions started."""
+        counts = defaultdict(Counter)
+        for _, node, kind in self.channel.tx_log:
+            counts[node][kind] += 1
+        return counts
+
+    @property
+    def rx_by_node(self):
+        """node -> frames decoded, for nodes that decoded at least one."""
+        return Counter({
+            node: radio.frames_received
+            for node, radio in self.channel.radios.items()
+            if radio.frames_received
+        })
+
+    @property
+    def collisions(self):
+        """Receptions corrupted by an overlapping transmission."""
+        return self.channel.collisions
+
+    # ------------------------------------------------------------------
     def _on_record(self, rec):
         fields = rec.fields
         category = rec.category
-        if category == "radio.tx":
-            node = fields["node"]
-            kind = fields["kind"]
-            self.tx_by_node[node] += 1
-            self.tx_by_node_kind[node][kind] += 1
-            self.tx_log.append((rec.time, node, kind))
-        elif category == "radio.rx":
-            self.rx_by_node[fields["node"]] += 1
-        elif category == "channel.collision":
-            self.collisions += 1
-        elif category in ("mnp.sender", "proto.sender"):
+        if category in ("mnp.sender", "proto.sender"):
             self.sender_events.append(
                 (rec.time, fields["node"], fields.get("seg"),
                  fields.get("req_ctr"))

@@ -20,8 +20,13 @@ responds to:
   (19.2 kbps for the Mica-2 CC1000).
 
 Energy-relevant bookkeeping (tx/rx time, successful receptions, collision
-counts) is pushed into the radios; trace records are emitted for the
-metrics layer.
+counts) is pushed into the radios.  The channel is the single source of
+per-frame facts: :attr:`Channel.tx_log` holds every transmission started,
+:attr:`Channel.collisions` every corrupted reception, and each radio's
+``frames_received`` every decoded frame; the metrics layer reads these
+directly.  ``radio.tx``, ``radio.rx`` and ``channel.collision`` trace
+records are emitted only when something subscribes to them (trace export,
+tests).
 
 Hot-path structure (all O(1) in network size, like TOSSIM's
 closest-point-of-approach optimization of per-bit simulation):
@@ -38,6 +43,8 @@ closest-point-of-approach optimization of per-bit simulation):
   neighbor cache can never silently go stale; call
   :meth:`invalidate_neighbors` after reconfiguring propagation.
 """
+
+from types import MappingProxyType
 
 from repro.sim.rng import derive_rng
 
@@ -103,8 +110,10 @@ class Channel:
         self._ber_cache = {}  # (src, dst, range_ft) -> BER
         self._decode_cache = {}  # (src, dst, range_ft, bytes) -> P(decode)
         self.loss_model = loss_model
-        # Aggregate counters (for figures and tests)
-        self.transmissions = 0
+        # Per-frame facts (for metrics, figures and tests): one
+        # ``(time, src, payload kind)`` per transmission started, aborted
+        # ones included, and one count per corrupted reception.
+        self.tx_log = []
         self.collisions = 0
         self.bit_error_losses = 0
         # Hot-path counters (for the profiling harness)
@@ -173,6 +182,11 @@ class Channel:
         self._radios[radio.node_id] = radio
         radio.channel = self
         self._receptions.setdefault(radio.node_id, {})
+
+    @property
+    def radios(self):
+        """node id -> attached radio (a read-only view)."""
+        return MappingProxyType(self._radios)
 
     def _range_for(self, power_level):
         """Communication range at ``power_level``, frozen at first use.
@@ -261,6 +275,11 @@ class Channel:
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
+    @property
+    def transmissions(self):
+        """Transmissions started so far (``len(tx_log)``)."""
+        return len(self.tx_log)
+
     def transmit(self, radio, frame, on_done=None):
         """Put a frame on the air from ``radio``.
 
@@ -279,13 +298,14 @@ class Channel:
                            range_ft, listeners)
         self._active[src] = tx
         radio.tx_started()
-        self.transmissions += 1
+        kind = type(frame.payload).__name__
+        self.tx_log.append((self.sim.now, src, kind))
         tracer = self.sim.tracer
         if tracer.watches("radio.tx"):
             tracer.emit(
                 "radio.tx",
                 node=src,
-                kind=type(frame.payload).__name__,
+                kind=kind,
                 bytes=frame.on_air_bytes,
                 power=radio.power_level,
             )
@@ -355,7 +375,6 @@ class Channel:
         range_ft = tx.range_ft
         aborted = tx.aborted
         frame_bytes = frame.on_air_bytes
-        kind = type(frame.payload).__name__
         receptions = self._receptions
         radios = self._radios
         decode_cache = self._decode_cache
@@ -409,7 +428,7 @@ class Channel:
                         "radio.rx",
                         node=dst,
                         src=src,
-                        kind=kind,
+                        kind=type(frame.payload).__name__,
                         bytes=frame_bytes,
                     )
                 receiver.deliver(delivered)

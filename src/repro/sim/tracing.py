@@ -2,8 +2,12 @@
 
 Components emit structured trace records (category + fields); subscribers --
 metric collectors, tests, or a debugging printer -- receive them
-synchronously.  Metrics in the reproduction are built entirely on traces, so
-protocol code never needs to know which figures are being produced.
+synchronously.  Protocol milestones reach the metrics layer as trace
+records, so protocol code never needs to know which figures are being
+produced.  Per-frame counts (transmissions, decoded frames, collisions) are
+read from the channel and radio counters instead, the same way energy comes
+from the radios' time integrals; their records are emitted only when
+something subscribes to them.
 
 Thread-local *taps* let a harness observe simulations it does not
 construct: :func:`push_tap` registers a subscriber that every

@@ -7,7 +7,12 @@ from repro.metrics.reports import (
     format_timeline,
     summarize,
 )
+from repro.net.loss_models import PerfectLossModel
 from repro.net.topology import Topology
+from repro.radio.channel import Channel
+from repro.radio.packet import Frame
+from repro.radio.propagation import PropagationModel
+from repro.radio.radio import Radio
 from repro.sim.kernel import Simulator
 
 
@@ -17,20 +22,55 @@ def emit(sim, category, t=None, **fields):
     sim.tracer.emit(category, **fields)
 
 
-def test_tx_rx_counting():
+def build_channel(n_nodes):
+    """A perfect channel over ``n_nodes`` nodes 10 ft apart in a row (all
+    in range of each other), with a radio attached at each, all off."""
     sim = Simulator()
-    collector = MetricsCollector(sim)
-    emit(sim, "radio.tx", node=1, kind="DataPacket", bytes=40, power=255)
-    emit(sim, "radio.tx", node=1, kind="Advertisement", bytes=20, power=255)
-    emit(sim, "radio.rx", node=2, src=1, kind="DataPacket", bytes=40)
+    topo = Topology([(10.0 * i, 0.0) for i in range(n_nodes)])
+    channel = Channel(sim, topo, PerfectLossModel(),
+                      PropagationModel.outdoor())
+    radios = []
+    for node in topo.node_ids():
+        radio = Radio(sim, node)
+        channel.attach(radio)
+        radios.append(radio)
+    return sim, channel, radios
+
+
+def frame(radio, kind, payload_bytes=20):
+    """A frame from ``radio`` whose payload's class is named ``kind``."""
+    return Frame(radio.node_id, type(kind, (), {})(), payload_bytes)
+
+
+def transmit_at(sim, channel, radio, t, kind):
+    """Switch ``radio`` on and put a ``kind`` frame on the air at ``t`` ms."""
+
+    def send():
+        radio.turn_on()
+        channel.transmit(radio, frame(radio, kind))
+
+    sim.schedule_at(t, send)
+
+
+def test_tx_rx_counting():
+    sim, channel, radios = build_channel(3)
+    collector = MetricsCollector(sim, channel)
+    sender, receiver = radios[1], radios[2]
+    sender.turn_on()
+    receiver.turn_on()
+    channel.transmit(sender, frame(sender, "DataPacket", 40))
+    sim.run()
+    receiver.turn_off()  # decodes the data packet only
+    channel.transmit(sender, frame(sender, "Advertisement"))
+    sim.run()
     assert collector.tx_by_node[1] == 2
     assert collector.tx_by_node_kind[1]["DataPacket"] == 1
     assert collector.rx_by_node[2] == 1
 
 
 def test_sender_order_dedups_and_sorts():
-    sim = Simulator()
-    collector = MetricsCollector(sim)
+    sim, channel, _ = build_channel(2)
+    collector = MetricsCollector(sim, channel)
     emit(sim, "mnp.sender", t=10.0, node=5, seg=1, req_ctr=2, packets=4)
     emit(sim, "mnp.sender", t=20.0, node=3, seg=1, req_ctr=1, packets=4)
     emit(sim, "mnp.sender", t=30.0, node=5, seg=2, req_ctr=1, packets=4)
@@ -38,8 +78,8 @@ def test_sender_order_dedups_and_sorts():
 
 
 def test_got_code_first_time_wins():
-    sim = Simulator()
-    collector = MetricsCollector(sim)
+    sim, channel, _ = build_channel(2)
+    collector = MetricsCollector(sim, channel)
     emit(sim, "mnp.got_code", t=100.0, node=7, parent=1)
     emit(sim, "mnp.got_code", t=200.0, node=7, parent=1)
     assert collector.got_code[7] == 100.0
@@ -48,20 +88,22 @@ def test_got_code_first_time_wins():
 
 
 def test_tx_per_window_buckets():
-    sim = Simulator()
-    collector = MetricsCollector(sim)
-    emit(sim, "radio.tx", t=100.0, node=1, kind="A", bytes=1, power=255)
-    emit(sim, "radio.tx", t=59_000.0, node=1, kind="A", bytes=1, power=255)
-    emit(sim, "radio.tx", t=61_000.0, node=2, kind="B", bytes=1, power=255)
+    sim, channel, radios = build_channel(3)
+    collector = MetricsCollector(sim, channel)
+    transmit_at(sim, channel, radios[1], 100.0, "A")
+    transmit_at(sim, channel, radios[1], 59_000.0, "A")
+    transmit_at(sim, channel, radios[2], 61_000.0, "B")
+    sim.run()
     series = collector.tx_per_window(60_000.0)
     assert series["A"] == [2, 0]
     assert series["B"] == [0, 1]
 
 
 def test_tx_per_window_kind_filter_and_until():
-    sim = Simulator()
-    collector = MetricsCollector(sim)
-    emit(sim, "radio.tx", t=100.0, node=1, kind="A", bytes=1, power=255)
+    sim, channel, radios = build_channel(2)
+    collector = MetricsCollector(sim, channel)
+    transmit_at(sim, channel, radios[1], 100.0, "A")
+    sim.run()
     series = collector.tx_per_window(60_000.0, kinds=["A", "Z"],
                                      until=120_000.0)
     assert series["A"] == [1, 0, 0]
@@ -69,8 +111,8 @@ def test_tx_per_window_kind_filter_and_until():
 
 
 def test_first_adv_snapshot():
-    sim = Simulator()
-    collector = MetricsCollector(sim)
+    sim, channel, _ = build_channel(2)
+    collector = MetricsCollector(sim, channel)
     emit(sim, "mnp.first_adv", t=500.0, node=4, radio_on_ms=500.0)
     assert collector.first_adv[4] == (500.0, 500.0)
 
