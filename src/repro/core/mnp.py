@@ -429,9 +429,11 @@ class MNPNode:
                 f"node {self.node_id}: illegal transition "
                 f"{self.state} -> {new_state}"
             )
-        self.sim.tracer.emit(
-            "mnp.state", node=self.node_id, frm=self.state, to=new_state
-        )
+        tracer = self.sim.tracer
+        if tracer.watches("mnp.state"):
+            tracer.emit(
+                "mnp.state", node=self.node_id, frm=self.state, to=new_state
+            )
         self.state_changes.append((self.sim.now, self.state, new_state))
         self.state = new_state
 
@@ -511,10 +513,12 @@ class MNPNode:
         adv = self._make_advertisement()
         self.mote.mac.send(adv, adv.wire_bytes())
         self._adverts_sent += 1
-        self.sim.tracer.emit(
-            "mnp.adv", node=self.node_id, seg=self.offer_seg,
-            req_ctr=self.req_ctr,
-        )
+        tracer = self.sim.tracer
+        if tracer.watches("mnp.adv"):
+            tracer.emit(
+                "mnp.adv", node=self.node_id, seg=self.offer_seg,
+                req_ctr=self.req_ctr,
+            )
         self._schedule_adv()
 
     def _make_advertisement(self):
@@ -724,7 +728,9 @@ class MNPNode:
         self._stop_all_timers()
         self.req_ctr = 0
         self._set_state(MNPState.SLEEP)
-        self.sim.tracer.emit("mnp.sleep", node=self.node_id, reason=reason)
+        tracer = self.sim.tracer
+        if tracer.watches("mnp.sleep"):
+            tracer.emit("mnp.sleep", node=self.node_id, reason=reason)
         duration = (
             self.config.sleep_factor
             * self._segment_time_ms()
@@ -1127,10 +1133,12 @@ class MNPNode:
             missing=self._loss_payload(want),
         )
         self.mote.mac.send(request, request.wire_bytes())
-        self.sim.tracer.emit(
-            "mnp.request", node=self.node_id, dest=self._request_dest,
-            seg=want,
-        )
+        tracer = self.sim.tracer
+        if tracer.watches("mnp.request"):
+            tracer.emit(
+                "mnp.request", node=self.node_id, dest=self._request_dest,
+                seg=want,
+            )
 
     def _handle_download_request(self, req):
         if self.state != MNPState.ADVERTISE:
@@ -1303,9 +1311,10 @@ class MNPNode:
                 self._fwd_timer.start(self.config.data_gap_ms)
         elif isinstance(payload, EndDownload):
             if self.state in (MNPState.FORWARD, MNPState.QUERY):
-                self.sim.tracer.emit(
-                    "mnp.sender_done", node=self.node_id, seg=self.offer_seg
-                )
+                tracer = self.sim.tracer
+                if tracer.watches("mnp.sender_done"):
+                    tracer.emit("mnp.sender_done", node=self.node_id,
+                                seg=self.offer_seg)
                 self._segment_finished()
 
     def __repr__(self):
