@@ -77,6 +77,15 @@ def test_chaos_runs_against_a_baseline_protocol():
     json.dumps(manifest)
 
 
+def test_chaos_gives_coded_mnp_the_mnp_family_config():
+    # The coded variant shares MNP's whole control plane, so a chaos
+    # comparison of the two must run both on the same MNPConfig.
+    out = run_chaos(FaultPlan(), protocol="coded_mnp", seed=3, **SMOKE)
+    for node in out.deployment.nodes.values():
+        assert node.config.query_update
+        assert node.config.fail_backoff_base_ms == 250.0
+
+
 # ----------------------------------------------------------------------
 # Runner integration: cached, parallel, and consistent
 # ----------------------------------------------------------------------
