@@ -153,6 +153,10 @@ class DelugeNode(BaselineNode):
             self.rvd_seg = 0
             self._seg_missing.clear()
             self.trickle.reset()
+            if self.role == self.TX:
+                # The page being streamed belongs to the old version.
+                self._tx_timer.stop()
+                self.role = self.MAINTAIN
         if s.program_id != self.program.program_id:
             return
         if s.gamma == self.rvd_seg:

@@ -99,6 +99,20 @@ def test_deluge_data_completion_resets_trickle():
     assert node.trickle.tau == node.trickle.tau_low_ms
 
 
+def test_deluge_adopting_newer_version_stops_streaming():
+    world, base, node = pair(DelugeNode, image=image2())
+    base.start()
+    base._handle_request(PageRequest(1, 0, 1, BitVector.all_set(4)))
+    assert base.role == DelugeNode.TX
+    # An unsigned (here: forged) summary of a newer version: the node
+    # adopts it mid-stream, and has no flash for the new version's page.
+    base._handle_summary(summary(1, gamma=0, program=2))
+    world.sim.run(until=world.sim.now + 5_000)  # pending send completes
+    assert base.program.program_id == 2
+    assert base.role == DelugeNode.MAINTAIN
+    assert not base._tx_timer.running
+
+
 # ----------------------------------------------------------------------
 # MOAP
 # ----------------------------------------------------------------------
