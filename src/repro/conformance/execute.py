@@ -17,11 +17,12 @@ import hashlib
 
 from repro.conformance.spec import ScenarioSpec
 from repro.core.config import MNPConfig
+from repro.experiments.chaos import MNP_FAMILY, FaultedRun
 from repro.experiments.common import Deployment
-from repro.faults import FaultController, FaultPlan, InvariantWatchdog
+from repro.faults import FaultPlan
 from repro.hardware.mote import MoteConfig
 from repro.radio.propagation import PropagationModel
-from repro.sim.kernel import MINUTE, SECOND
+from repro.sim.kernel import MINUTE
 
 
 def _sabotage(spec, deployment):
@@ -49,24 +50,17 @@ def _sabotage(spec, deployment):
     return None
 
 
-def _content_digest(expected, completed_nodes):
-    """(all complete nodes hold ``expected``, digest over their images).
-
-    The digest covers ``(node id, assembled bytes)`` pairs in id order,
-    so two runs agree on it iff the same nodes completed with the same
-    flash contents.
-    """
+def _content_digest(images):
+    """Digest over ``(node id, assembled bytes)`` pairs in id order, so
+    two runs agree on it iff the same nodes completed with the same
+    flash contents."""
     hasher = hashlib.sha256()
-    content_ok = True
-    for node_id, node in completed_nodes:
-        assembled = node.assemble_image() or b""
-        if assembled != expected:
-            content_ok = False
+    for node_id, assembled in images.items():
         hasher.update(str(node_id).encode())
         hasher.update(b"\x00")
-        hasher.update(assembled)
+        hasher.update(assembled or b"")
         hasher.update(b"\x01")
-    return content_ok, hasher.hexdigest()
+    return hasher.hexdigest()
 
 
 def run_scenario(scenario, protocol="mnp", variant=None):
@@ -105,7 +99,7 @@ def run_scenario(scenario, protocol="mnp", variant=None):
         loss_model = spec.build_loss_model()
     # The coded variant shares MNP's whole control plane, so it takes
     # the same MNPConfig and the same watchdog audit.
-    mnp_family = protocol in ("mnp", "coded_mnp")
+    mnp_family = protocol in MNP_FAMILY
     protocol_config = MNPConfig(**spec.config) if mnp_family else None
     security = spec.build_security()
     dep = Deployment(
@@ -116,92 +110,46 @@ def run_scenario(scenario, protocol="mnp", variant=None):
         mote_config=MoteConfig(power_level=spec.power_level),
         security=security,
     )
-
-    controller = None
-    if faults is not None:
-        controller = FaultController(dep, FaultPlan.from_dict(faults))
-        controller.install()
-    watchdog = None
-    if mnp_family:
-        power = dep.mote_config.power_level
-        watchdog = InvariantWatchdog(
-            dep.sim, n_nodes=len(dep.nodes),
-            neighbors_fn=lambda nid: dep.channel.neighbors(nid, power),
-            expected_digest=hashlib.sha256(image.to_bytes()).hexdigest(),
-            expected_version=image.program_id,
-        )
-
-    dep.start()
-    last_fault_ms = controller.last_fault_ms if controller else 0.0
-
-    def settled():
-        if dep.sim.now < last_fault_ms:
-            return False
-        return all(
-            dep.nodes[n].has_full_image
-            for n in dep.nodes if dep.motes[n].alive
-        )
-
-    done = dep.sim.run_until(settled, check_every=SECOND,
-                             deadline=spec.deadline_min * MINUTE)
-
+    run = FaultedRun(
+        dep, None if faults is None else FaultPlan.from_dict(faults),
+        stall_ms=10 * MINUTE if mnp_family else None,
+    )
+    run.settle(spec.deadline_min * MINUTE)
     sabotaged_node = None
     if spec.sabotage is not None:
         sabotaged_node = _sabotage(spec, dep)
-
     # Secure scenarios exercise the whole pipeline end-to-end: the
     # external start signal drives every staged image through the
     # bootloader (emitting boot.install/boot.reject for the watchdog's
     # authentic-install audit) before the end-of-run checks.
-    installs = None
-    auth = None
-    if security is not None:
-        installs = dep.install_all()
-        auth = {
-            "rejects": sum(getattr(n, "auth_rejects", 0)
-                           for n in dep.nodes.values()),
-            "quarantines": sum(getattr(n, "quarantines", 0)
-                               for n in dep.nodes.values()),
-        }
-
-    verdict = None
-    if watchdog is not None:
-        verdict = watchdog.finish(motes=dep.motes)
-        watchdog.detach()
-
-    alive = sorted(n for n in dep.nodes if dep.motes[n].alive)
-    complete = [n for n in alive if dep.nodes[n].has_full_image]
-    completed_nodes = [(n, dep.nodes[n]) for n in complete
-                       if hasattr(dep.nodes[n], "assemble_image")]
-    content_ok, content_sha = _content_digest(image.to_bytes(),
-                                              completed_nodes)
-    times = [dep.nodes[n].got_code_time for n in complete
-             if dep.nodes[n].got_code_time is not None]
-    metrics = {
+    run.close(install=security is not None)
+    return {
         "protocol": protocol,
         "n_nodes": len(dep.nodes),
-        "alive": len(alive),
-        "complete": len(complete),
-        "coverage": len(complete) / len(alive) if alive else 0.0,
-        "all_complete": len(complete) == len(alive) and bool(alive),
-        "completion_ms": max(times) if times and
-        len(complete) == len(alive) else None,
-        "deadline_hit": not done,
-        "messages_sent": sum(dep.collector.tx_by_node.values()),
-        "collisions": dep.collector.collisions,
-        "content_ok": content_ok,
-        "content_sha": content_sha,
+        "alive": len(run.alive),
+        "complete": len(run.complete),
+        "coverage": run.survivor_coverage,
+        "all_complete": len(run.complete) == len(run.alive)
+        and bool(run.alive),
+        "completion_ms": run.completion_ms,
+        "deadline_hit": run.deadline_hit,
+        "messages_sent": run.messages,
+        "collisions": run.collisions,
+        "content_ok": run.corrupt_images == 0,
+        "content_sha": _content_digest(run.images),
         "image_sha": hashlib.sha256(image.to_bytes()).hexdigest(),
         "image_bytes": image.size_bytes,
         "n_segments": image.n_segments,
-        "watchdog": verdict,
-        "faults": controller.summary() if controller else None,
+        "watchdog": run.verdict,
+        "faults": run.controller.summary() if run.controller else None,
         "sabotaged_node": sabotaged_node,
         "secured": security is not None,
-        "installs": installs,
-        "auth": auth,
+        "installs": run.installs,
+        "auth": None if security is None else {
+            "rejects": run.auth_rejects,
+            "quarantines": run.quarantines,
+        },
     }
-    return metrics
 
 
 def conformance_experiment(run_spec):

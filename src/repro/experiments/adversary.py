@@ -5,10 +5,12 @@ One adversary run = one :class:`~repro.experiments.common.Deployment`
 :class:`~repro.faults.FaultPlan` (forged advertisements, replayed
 manifests, payload tampering, segment swaps) + an
 :class:`~repro.faults.InvariantWatchdog` configured with the legitimate
-image's SHA-256 digest and version.  After dissemination settles, the
-external start signal drives every staged image through the bootloader,
-so the run reports the question the secure pipeline exists to answer:
-*did any node install a tampered or rolled-back image?*
+image's SHA-256 digest and version, driven by the faulted-run loop
+chaos runs use (:class:`~repro.experiments.chaos.FaultedRun`).  After
+dissemination settles, the external start signal drives every staged
+image through the bootloader, so the run reports the question the
+secure pipeline exists to answer: *did any node install a tampered or
+rolled-back image?*
 
 The secured/unsecured pairing is the experiment's point: an unsecured
 network under ``tamper`` completes with corrupt flash and gets stuck at
@@ -21,19 +23,10 @@ attack sweeps (attack class x protocol) are cached and parallel like
 every other experiment.
 """
 
-import hashlib
-
 from repro.core.auth import SecurityConfig
-from repro.core.config import MNPConfig
-from repro.core.segments import CodeImage
-from repro.experiments.common import Deployment
-from repro.faults import FaultController, FaultPlan, InvariantWatchdog
-from repro.net.loss_models import EmpiricalLossModel
-from repro.net.topology import Topology
-from repro.radio.propagation import PropagationModel
-from repro.sim.kernel import MINUTE, SECOND
-
-RANGE_FT = 25.0
+from repro.experiments.chaos import FaultedRun, grid_deployment
+from repro.faults import FaultPlan
+from repro.sim.kernel import MINUTE
 
 #: Attack classes the CLI sweep exercises; each maps intensity in [0, 1]
 #: to a concrete plan (see :func:`attack_plan`).
@@ -73,78 +66,6 @@ def attack_plan(attack_class, intensity=0.5):
     return plan
 
 
-class AdversaryOutcome:
-    """Everything one adversary run reports (see :meth:`to_dict`)."""
-
-    def __init__(self, deployment, controller, verdict, installs,
-                 deadline_hit, secured):
-        self.deployment = deployment
-        self.controller = controller
-        self.verdict = verdict
-        self.installs = installs
-        self.deadline_hit = deadline_hit
-        self.secured = secured
-        sim = deployment.sim
-        nodes = deployment.nodes
-        motes = deployment.motes
-        self.alive = [n for n in nodes if motes[n].alive]
-        self.complete = [n for n in self.alive if nodes[n].has_full_image]
-        self.survivor_coverage = (
-            len(self.complete) / len(self.alive) if self.alive else 0.0
-        )
-        times = [
-            nodes[n].got_code_time for n in self.complete
-            if nodes[n].got_code_time
-        ]
-        self.completion_s = (
-            max(times) / SECOND
-            if times and len(self.complete) == len(self.alive) else None
-        )
-        self.auth_rejects = sum(
-            getattr(n, "auth_rejects", 0) for n in nodes.values()
-        )
-        self.quarantines = sum(
-            getattr(n, "quarantines", 0) for n in nodes.values()
-        )
-        self.tampered_installs = sum(
-            1 for v in verdict["violations"]
-            if v["invariant"] == "authentic-install"
-        )
-        expected = deployment.image.to_bytes()
-        self.corrupt_images = sum(
-            1 for n in self.complete
-            if hasattr(nodes[n], "assemble_image")
-            and nodes[n].assemble_image() != expected
-        )
-        self.messages = sum(deployment.collector.tx_by_node.values())
-        self.collisions = deployment.collector.collisions
-        self.elapsed_s = sim.now / SECOND
-
-    def to_dict(self):
-        """JSON-ready outcome manifest (deterministic for a given
-        ``(seed, plan, secured)``; the CI secure-smoke job diffs runs)."""
-        return {
-            "secured": self.secured,
-            "survivors_total": len(self.alive),
-            "survivors_complete": len(self.complete),
-            "survivor_coverage": self.survivor_coverage,
-            "completion_s": self.completion_s,
-            "deadline_hit": self.deadline_hit,
-            "auth_rejects": self.auth_rejects,
-            "quarantines": self.quarantines,
-            "installs": dict(self.installs),
-            "tampered_installs": self.tampered_installs,
-            "corrupt_images": self.corrupt_images,
-            "images_intact": self.corrupt_images == 0,
-            "messages_sent": self.messages,
-            "collisions": self.collisions,
-            "elapsed_s": self.elapsed_s,
-            "faults": self.controller.summary(),
-            "watchdog_ok": self.verdict["ok"],
-            "watchdog": self.verdict,
-        }
-
-
 def run_adversary(plan, rows=6, cols=6, protocol="mnp", n_segments=2,
                   segment_packets=32, seed=0, deadline_min=240,
                   config=None, secured=True, stall_ms=10 * MINUTE):
@@ -153,56 +74,21 @@ def run_adversary(plan, rows=6, cols=6, protocol="mnp", n_segments=2,
     The run ends when every alive node holds the (verified) full image,
     or at the deadline; then every staged image is pushed through the
     bootloader and the watchdog's authentic-install audit closes the
-    books.  Returns an :class:`AdversaryOutcome`.
+    books.  Returns the closed
+    :class:`~repro.experiments.chaos.FaultedRun`.
     """
     if isinstance(plan, dict):
         plan = FaultPlan.from_dict(plan)
-    topo = Topology.grid(rows, cols, 10.0)
-    image = CodeImage.random(1, n_segments=n_segments,
-                             segment_packets=segment_packets, seed=seed)
-    protocol_config = None
-    if protocol in ("mnp", "coded_mnp"):
-        protocol_config = (
-            MNPConfig(**config) if isinstance(config, dict)
-            else config or MNPConfig(query_update=True,
-                                     fail_backoff_base_ms=250.0)
-        )
-    security = SecurityConfig(enabled=True) if secured else None
-    dep = Deployment(
-        topo, image=image, protocol=protocol,
-        protocol_config=protocol_config, seed=seed,
-        propagation=PropagationModel(RANGE_FT, 3.0),
-        loss_model=EmpiricalLossModel(seed=seed),
-        security=security,
+    run = FaultedRun(
+        grid_deployment(
+            rows, cols, protocol, n_segments, segment_packets, seed, config,
+            security=SecurityConfig(enabled=True) if secured else None,
+        ),
+        plan, stall_ms=stall_ms,
     )
-    controller = FaultController(dep, plan)
-    controller.install()
-    power = dep.mote_config.power_level
-    watchdog = InvariantWatchdog(
-        dep.sim, n_nodes=len(dep.nodes),
-        neighbors_fn=lambda nid: dep.channel.neighbors(nid, power),
-        stall_ms=stall_ms,
-        expected_digest=hashlib.sha256(image.to_bytes()).hexdigest(),
-        expected_version=image.program_id,
-    )
-    dep.start()
-
-    def settled():
-        if dep.sim.now < controller.last_fault_ms:
-            return False
-        nodes, motes = dep.nodes, dep.motes
-        return all(
-            nodes[n].has_full_image
-            for n in nodes if motes[n].alive
-        )
-
-    done = dep.sim.run_until(settled, check_every=SECOND,
-                             deadline=deadline_min * MINUTE)
-    installs = dep.install_all()
-    verdict = watchdog.finish(motes=dep.motes)
-    watchdog.detach()
-    return AdversaryOutcome(dep, controller, verdict, installs,
-                            deadline_hit=not done, secured=secured)
+    run.settle(deadline_min * MINUTE)
+    run.close(install=True)
+    return run
 
 
 def adversary_experiment(spec):
@@ -221,7 +107,8 @@ def adversary_experiment(spec):
         plan = attack_plan(ov["attack_class"], ov.get("intensity", 0.5))
     else:
         plan = FaultPlan()
-    outcome = run_adversary(
+    secured = ov.get("secured", True)
+    run = run_adversary(
         plan, rows=ov.get("rows", 6), cols=ov.get("cols", 6),
         protocol=spec.protocol,
         n_segments=ov.get("n_segments", 2),
@@ -229,10 +116,28 @@ def adversary_experiment(spec):
         seed=spec.seed,
         deadline_min=ov.get("deadline_min", 240),
         config=ov.get("config"),
-        secured=ov.get("secured", True),
+        secured=secured,
     )
-    metrics = outcome.to_dict()
-    metrics["seed"] = spec.seed
-    metrics["protocol"] = spec.protocol
-    metrics["attack_class"] = ov.get("attack_class")
-    return metrics
+    return {
+        "secured": secured,
+        "survivors_total": len(run.alive),
+        "survivors_complete": len(run.complete),
+        "survivor_coverage": run.survivor_coverage,
+        "completion_s": run.completion_s,
+        "deadline_hit": run.deadline_hit,
+        "auth_rejects": run.auth_rejects,
+        "quarantines": run.quarantines,
+        "installs": dict(run.installs),
+        "tampered_installs": run.tampered_installs,
+        "corrupt_images": run.corrupt_images,
+        "images_intact": run.corrupt_images == 0,
+        "messages_sent": run.messages,
+        "collisions": run.collisions,
+        "elapsed_s": run.elapsed_s,
+        "faults": run.controller.summary(),
+        "watchdog_ok": run.verdict["ok"],
+        "watchdog": run.verdict,
+        "seed": spec.seed,
+        "protocol": spec.protocol,
+        "attack_class": ov.get("attack_class"),
+    }
