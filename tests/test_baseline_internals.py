@@ -1,7 +1,10 @@
 """Unit-level tests of baseline protocol internals (handlers driven
 directly, without full dissemination runs)."""
 
+import pytest
+
 from repro.baselines.deluge import DelugeNode, PageRequest, Summary
+from repro.baselines.flood import FloodAdv, FloodNode
 from repro.baselines.moap import (
     EndOfImage,
     MoapNode,
@@ -10,9 +13,11 @@ from repro.baselines.moap import (
     Subscribe,
 )
 from repro.baselines.xnp import XnpAdv, XnpNak, XnpNode, XnpQuery
+from repro.core.auth import ImageManifest, SecurityConfig
 from repro.core.bitvector import BitVector
 from repro.core.messages import DataPacket
 from repro.core.segments import CodeImage
+from repro.radio.packet import Frame
 from tests.conftest import make_world
 
 
@@ -173,6 +178,37 @@ def test_moap_end_of_image_triggers_nak_when_missing():
     assert node._nak_rounds_left <= node.config.nak_rounds
 
 
+def test_moap_adopting_newer_version_stops_streaming():
+    world, base, node = pair(MoapNode, image=image2())
+    base.start()
+    base._handle_subscribe(Subscribe(1, 0))
+    base._begin_stream()
+    assert base.role == MoapNode.STREAM
+    # An unsigned (here: forged) publish of a newer version: the
+    # publisher adopts it mid-stream, and has no flash for it.
+    base._handle_publish(Publish(1, 2, 2, 4, 4))
+    world.sim.run(until=world.sim.now + 5_000)  # pending send completes
+    assert base.program.program_id == 2
+    assert base.role == MoapNode.LISTEN
+    assert not base._stream_timer.running
+    assert not base._publish_timer.running
+
+
+# ----------------------------------------------------------------------
+# Flooding
+# ----------------------------------------------------------------------
+def test_flood_adopting_newer_version_drops_outbox():
+    world, base, node = pair(FloodNode, image=image2())
+    base.start()
+    world.sim.run(until=950)  # announcements done, data queued
+    assert base._outbox
+    adv = FloodAdv(1, 2, 2, 4, 4)
+    base._on_frame(Frame(1, adv, adv.wire_bytes()))
+    world.sim.run(until=world.sim.now + 5_000)  # pending send completes
+    assert base.program.program_id == 2
+    assert base._outbox == []
+
+
 # ----------------------------------------------------------------------
 # XNP
 # ----------------------------------------------------------------------
@@ -226,3 +262,40 @@ def test_xnp_nak_ignored_outside_collection_phases():
     base._phase = "adv"
     base._handle_nak(XnpNak(1, 1, BitVector.all_set(4)))
     assert base._stream == []
+
+
+# ----------------------------------------------------------------------
+# Secured version admission, shared by every baseline
+# ----------------------------------------------------------------------
+KEY = b"test-network-key"
+
+
+def _teach_moap(node, program_id):
+    node._handle_publish(Publish(0, program_id, 2, 4, 4))
+
+
+def _teach_flood(node, program_id):
+    adv = FloodAdv(0, program_id, 2, 4, 4)
+    node._on_frame(Frame(0, adv, adv.wire_bytes()))
+
+
+def _teach_xnp(node, program_id):
+    node._handle_adv(XnpAdv(0, program_id, 2, 4, 4))
+
+
+@pytest.mark.parametrize("cls,teach", [
+    (MoapNode, _teach_moap),
+    (FloodNode, _teach_flood),
+    (XnpNode, _teach_xnp),
+], ids=["moap", "flood", "xnp"])
+def test_secured_baseline_refuses_forged_newer_version(cls, teach):
+    world, base, node = pair(cls, image=image2())
+    node.configure_security(SecurityConfig(enabled=True, key=KEY),
+                            manifest=ImageManifest.of_image(image2(), KEY))
+    node.start()
+    teach(node, 1)  # the provisioned version is adopted
+    assert node.program.program_id == 1
+    assert node.auth_rejects == 0
+    teach(node, 2)  # a forged "newer" version is refused
+    assert node.program.program_id == 1
+    assert node.auth_rejects == 1

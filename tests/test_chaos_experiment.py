@@ -86,6 +86,16 @@ def test_chaos_gives_coded_mnp_the_mnp_family_config():
         assert node.config.fail_backoff_base_ms == 250.0
 
 
+def test_chaos_moap_survives_a_corrupted_version_number():
+    # Decode corruption can flip an announced program id upward; a MOAP
+    # sender that adopted it used to read flash it never wrote.
+    out = run_chaos(standard_plan("link", 0.7, 3, 3), protocol="moap",
+                    seed=0, deadline_min=60, **SMOKE)
+    assert out.controller.summary()["counts"]["decode_pass"] > 0
+    assert out.verdict["ok"], out.verdict["violations"]
+    json.dumps(out.to_dict())
+
+
 # ----------------------------------------------------------------------
 # Runner integration: cached, parallel, and consistent
 # ----------------------------------------------------------------------

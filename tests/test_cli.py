@@ -277,6 +277,24 @@ def test_adversary_insecure_forged_deluge_reaches_a_verdict(protocol, code,
     assert protocol in text and needle in text
 
 
+@pytest.mark.parametrize("protocol,code,needle", [
+    ("moap", 1, "VIOLATED(16)"),
+    ("flood", 0, "0%"),
+])
+def test_adversary_insecure_forged_moap_and_flood_reach_a_verdict(
+        protocol, code, needle):
+    # A MOAP publisher or a flooding node that adopted a forged newer
+    # version used to read flash of that version on its next send.
+    got, text = run_cli([
+        "adversary", "--insecure", "--protocols", protocol,
+        "--attacks", "forge", "--grid", "4x4", "--segments", "1",
+        "--segment-packets", "16", "--deadline-min", "60",
+        "--no-cache", "--quiet",
+    ])
+    assert got == code
+    assert protocol in text and needle in text
+
+
 _CHEAP_SWEEP = ["--seeds", "0", "--scale", "smoke", "--no-cache", "--quiet"]
 
 #: Bad input: argv -> the one stderr line it must produce (exit 2).

@@ -267,6 +267,27 @@ def test_tampered_segment_is_quarantined_and_rerequested():
     assert outcome.verdict["ok"], outcome.verdict["violations"]
 
 
+FORGE_GRID = dict(rows=3, cols=3, n_segments=1, segment_packets=16,
+                  deadline_min=60)
+
+
+@pytest.mark.parametrize("protocol", ["moap", "flood", "xnp"])
+def test_secured_baseline_refuses_forged_versions_end_to_end(protocol):
+    # Every baseline adopts a version through one admission check: a
+    # forged version is refused (MOAP and flooding used to crash on it,
+    # XNP to adopt it and have the bootloader refuse the result).
+    from repro.experiments.adversary import attack_plan, run_adversary
+
+    forged = run_adversary(attack_plan("forge", 0.6), protocol=protocol,
+                           seed=1, **FORGE_GRID)
+    clean = run_adversary(FaultPlan(), protocol=protocol, seed=1,
+                          **FORGE_GRID)
+    assert forged.auth_rejects > 0
+    assert forged.tampered_installs == 0
+    assert forged.installs["rejected"] == 0
+    assert forged.survivor_coverage == clean.survivor_coverage
+
+
 def test_quarantine_clears_staged_flash_for_rewrite():
     node = make_mnp_node()
     image = small_image(n_segments=1, segment_packets=2)

@@ -4,6 +4,7 @@ upgrades (v1 then v2 through the same network)."""
 import pytest
 
 from repro.core.segments import CodeImage
+from repro.core.states import MNPState
 from repro.experiments.common import Deployment
 from repro.hardware.bootloader import InstallResult
 from repro.net.loss_models import PerfectLossModel
@@ -106,6 +107,22 @@ def test_load_image_rejects_stale_version():
     with pytest.raises(ValueError):
         base.load_image(CodeImage.random(1, n_segments=1,
                                          segment_packets=8))
+
+
+def test_load_image_logs_its_reset_to_idle():
+    # load_image is an out-of-band reset like power_cycle: the jump back
+    # to IDLE is logged, so the state history stays one unbroken chain.
+    dep, v1 = build()
+    base = dep.nodes[dep.base_id]
+    dep.start()
+    assert base.state == MNPState.ADVERTISE
+    base.load_image(CodeImage.random(2, n_segments=2, segment_packets=8,
+                                     seed=99))
+    assert base.state == MNPState.ADVERTISE
+    changes = base.state_changes
+    assert len(changes) == 3
+    for (_, _, before), (_, after, _) in zip(changes, changes[1:]):
+        assert after == before
 
 
 def test_verify_image_incomplete_is_false():
