@@ -5,77 +5,26 @@ All baselines disseminate the same :class:`repro.core.segments.CodeImage`
 progress through ``proto.*`` trace records that the metrics collector
 understands.  Unlike MNP they keep the radio on for the whole run, which is
 precisely the behaviour the paper's energy comparison exploits.
+
+The staged image itself -- ledger, flash keys, install path and the
+secure-OTA checks -- is :class:`repro.core.image_node.ImageNode`'s, as it
+is for MNP.
 """
 
 from repro.core.bitvector import BitVector
-from repro.core.mnp import ProgramInfo
-from repro.hardware.bootloader import InstallResult
+from repro.core.image_node import ImageNode, ProgramInfo
 from repro.hardware.eeprom import EepromError
-from repro.hardware.energy import EnergyModel
 
 
-class BaselineNode:
-    """Common receiver-side store and progress reporting."""
+class BaselineNode(ImageNode):
+    """Common receiver-side store, version adoption and progress
+    reporting.
 
-    def __init__(self, mote, image=None):
-        self.mote = mote
-        self.sim = mote.sim
-        self.node_id = mote.node_id
-        self.program = None
-        self.rvd_seg = 0  # pages/segments complete, in order
-        self._seg_missing = {}
-        self.got_code_time = None
-        self.parent = None
-        self._energy_model = EnergyModel()
-        # Secure OTA pipeline (repro.core.auth), default off.  Baselines
-        # have no authenticated control channel, so the signed manifest
-        # is *pre-provisioned* by the deployment (a few hundred bytes,
-        # flashed alongside the golden image); version admission and all
-        # content checks verify against it.
-        self.security = None
-        self.manifest = None
-        self.auth_rejects = 0
-        self.quarantines = 0
-        mote.mac.on_receive = self._on_frame
-        mote.mac.on_send_done = self._on_send_done
-        if image is not None:
-            self.program = ProgramInfo.of_image(image)
-            self.rvd_seg = image.n_segments
-            for segment in image.segments:
-                for pkt_id, payload in enumerate(segment.packets):
-                    mote.eeprom.preload(
-                        self.flash_key(segment.seg_id, pkt_id), payload
-                    )
-            self.got_code_time = 0.0
-
-    # ------------------------------------------------------------------
-    @property
-    def has_full_image(self):
-        return (
-            self.program is not None
-            and self.rvd_seg == self.program.n_segments
-        )
-
-    def energy_nah(self):
-        return self._energy_model.node_energy_nah(
-            self.mote.radio, self.mote.eeprom
-        )
-
-    def flash_key(self, seg_id, packet_id):
-        """Version-qualified EEPROM key for one packet."""
-        return (self.program.program_id, seg_id, packet_id)
-
-    def assemble_image(self):
-        """Reassemble the image from EEPROM (None while incomplete)."""
-        if not self.has_full_image:
-            return None
-        chunks = []
-        for seg_id in range(1, self.program.n_segments + 1):
-            for pkt_id in range(self.program.n_packets(seg_id)):
-                chunks.append(
-                    self.mote.eeprom.read(self.flash_key(seg_id, pkt_id))
-                )
-        return b"".join(chunks)
+    Secure OTA: baselines have no authenticated control channel, so the
+    signed manifest is *pre-provisioned* by the deployment (a few hundred
+    bytes, flashed alongside the golden image); version admission and all
+    content checks verify against it.
+    """
 
     # ------------------------------------------------------------------
     def missing_for(self, seg_id):
@@ -101,7 +50,8 @@ class BaselineNode:
         if not missing.test(packet_id):
             return False
         try:
-            self.mote.eeprom.write(self.flash_key(seg_id, packet_id), payload)
+            self.mote.eeprom.write(self._flash_key(seg_id, packet_id),
+                                   payload)
         except EepromError:
             return False
         missing.clear(packet_id)
@@ -151,21 +101,35 @@ class BaselineNode:
         return False
 
     # ------------------------------------------------------------------
-    # Secure OTA pipeline (no-ops while security is disabled)
+    # Version adoption
     # ------------------------------------------------------------------
-    def configure_security(self, security, manifest=None):
-        """Enable authenticated dissemination (:mod:`repro.core.auth`).
+    def _adopt_version(self, msg):
+        """Adopt the program ``msg`` announces if it is newer than ours
+        (or we have none) and :meth:`_accepts_version` admits it; returns
+        True when it was adopted.
 
-        Baseline wire formats carry no signatures, so the deployment
-        pre-provisions the signed :class:`~repro.core.auth.ImageManifest`
-        (base stations could equally compute it from their own image);
-        content and version checks then verify against it.  ``None`` or
-        disabled security is a no-op, keeping golden runs bit-identical.
-        """
-        if security is None or not security.enabled:
-            return
-        self.security = security
-        self.manifest = manifest
+        ``msg`` is any baseline announcement: it carries ``source_id``,
+        ``program_id`` and the image geometry.  Staging restarts from
+        segment one, and :meth:`_stop_sending_old_version` stops whatever
+        was being sent of the version we held."""
+        if self.program is not None \
+                and msg.program_id <= self.program.program_id:
+            return False
+        if not self._accepts_version(msg.program_id, msg.source_id):
+            return False
+        self.program = ProgramInfo(
+            msg.program_id, msg.n_segments, msg.segment_packets,
+            msg.last_seg_packets,
+        )
+        self.rvd_seg = 0
+        self._seg_missing.clear()
+        self._stop_sending_old_version()
+        return True
+
+    def _stop_sending_old_version(self):
+        """Hook: a newer version was adopted, so stop serving the old one
+        (its flash keys are not the new version's).  Protocols whose
+        receivers never send data need nothing here."""
 
     def _accepts_version(self, program_id, source_id):
         """Version admission under security: only the manifest's exact
@@ -179,96 +143,4 @@ class BaselineNode:
             and program_id > self.mote.bootloader.running_program_id
         ):
             return True
-        self.auth_rejects += 1
-        self.sim.tracer.emit(
-            "auth.reject", node=self.node_id, source=source_id,
-            version=program_id, reason="version",
-        )
-        return False
-
-    def _verify_segment(self, seg_id):
-        """Digest-check a completed segment before accepting it; on a
-        mismatch the staged bytes are quarantined and False returned."""
-        if self.security is None or self.manifest is None:
-            return True
-        n = self.program.n_packets(seg_id)
-        try:
-            packets = [
-                self.mote.eeprom.read(self.flash_key(seg_id, pid))
-                for pid in range(n)
-            ]
-        except KeyError:
-            packets = None
-        if packets is not None \
-                and self.manifest.verify_segment(seg_id, packets):
-            return True
-        self._quarantine_segment(seg_id)
-        return False
-
-    def _quarantine_segment(self, seg_id):
-        """Discard a tampered segment (staged EEPROM bytes plus its
-        missing bitmap) so normal loss recovery re-requests it cleanly."""
-        self.quarantines += 1
-        n = self.program.n_packets(seg_id)
-        self.mote.eeprom.discard(
-            self.flash_key(seg_id, pid) for pid in range(n)
-        )
-        self._seg_missing.pop(seg_id, None)
-        self.sim.tracer.emit(
-            "auth.quarantine", node=self.node_id, seg=seg_id,
-        )
-
-    def _quarantine_image(self):
-        """Discard the whole staged image after a bootloader rejection;
-        dissemination restarts from segment one."""
-        if self.program is None:
-            return
-        self.quarantines += 1
-        keys = [
-            self.flash_key(seg_id, pid)
-            for seg_id in range(1, self.program.n_segments + 1)
-            for pid in range(self.program.n_packets(seg_id))
-        ]
-        self.mote.eeprom.discard(keys)
-        self._seg_missing.clear()
-        self.rvd_seg = 0
-        self.got_code_time = None
-        self.sim.tracer.emit(
-            "auth.quarantine", node=self.node_id, seg=0,
-        )
-
-    def install_signal(self):
-        """External start signal: hand the staged image to the bootloader
-        (with manifest verification when secured); True once rebooted
-        into the new program.  A signature/digest rejection quarantines
-        the staged image so the node re-requests a clean copy."""
-        if not self.has_full_image:
-            return False
-        secured = self.security is not None and self.manifest is not None
-        result = self.mote.bootloader.install(
-            self.program.program_id,
-            self.assemble_image(),
-            expected_crc=self.program.image_crc,
-            manifest=self.manifest if secured else None,
-            key=self.security.key if secured else None,
-        )
-        if result in (InstallResult.BAD_SIGNATURE,
-                      InstallResult.DIGEST_MISMATCH):
-            self._quarantine_image()
-            return False
-        if result != InstallResult.OK:
-            return False
-        self.mote.reboot()
-        return True
-
-    # ------------------------------------------------------------------
-    # Subclass hooks
-    # ------------------------------------------------------------------
-    def start(self):
-        raise NotImplementedError
-
-    def _on_frame(self, frame):
-        raise NotImplementedError
-
-    def _on_send_done(self, payload):
-        """Most baselines need no send-completion pacing hook."""
+        return self._reject_version(source_id, program_id, "version")

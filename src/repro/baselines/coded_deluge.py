@@ -110,12 +110,15 @@ class CodedDelugeNode(DelugeNode):
             if self.role == self.RX:
                 self._rx_timer.start(2 * self._page_time_ms())
         if tracker.decoded and not tracker.is_empty():
-            if not self._verify_generation(page, tracker):
+            # A tampered combination poisons the whole decoder matrix: a
+            # mismatch quarantines the entire page, and the
+            # request/timeout loop refetches it from scratch.
+            if not self._verify_segment(page, tracker.decoded_packets):
                 return
             try:
                 tracker.flush(
                     lambda pid, data: self.mote.eeprom.write(
-                        self.flash_key(page, pid), data
+                        self._flash_key(page, pid), data
                     )
                 )
             except EepromError:
@@ -129,25 +132,6 @@ class CodedDelugeNode(DelugeNode):
             if self.role == self.RX:
                 self._rx_timer.stop()
                 self.role = self.MAINTAIN
-
-    def _verify_generation(self, seg_id, tracker):
-        """Security-on digest check of the decoded generation before the
-        EEPROM flush.  A tampered combination poisons the whole matrix,
-        so a mismatch quarantines the entire page (tracker reset to rank
-        zero) and the request/timeout loop refetches it from scratch."""
-        if self.security is None or self.manifest is None:
-            return True
-        if self.manifest.verify_segment(seg_id, tracker.decoded_packets()):
-            return True
-        self.quarantines += 1
-        self.mote.eeprom.discard(
-            self.flash_key(seg_id, pid) for pid in range(tracker.n)
-        )
-        tracker.reset()
-        self.sim.tracer.emit(
-            "auth.quarantine", node=self.node_id, seg=seg_id,
-        )
-        return False
 
     # ------------------------------------------------------------------
     # TX: stream coded combinations
@@ -189,10 +173,7 @@ class CodedDelugeNode(DelugeNode):
         encoder = self._encoders.get(key)
         if encoder is None:
             n = self.program.n_packets(page)
-            packets = [
-                self.mote.eeprom.read(self.flash_key(page, pid))
-                for pid in range(n)
-            ]
+            packets = [self._packet_payload(page, pid) for pid in range(n)]
             encoder = GenerationEncoder(
                 packets,
                 derive_rng(self.mote.seed, "coding", self.node_id,
@@ -216,15 +197,12 @@ class CodedDelugeNode(DelugeNode):
             tail_len=encoder.tail_len, field=self.field,
         ))
 
-    def _per_packet_ms(self):
+    def _sample_data_packet(self):
         n = self.program.segment_packets if self.program else 32
-        sample = CodedDataPacket(
+        return CodedDataPacket(
             self.node_id, 1, (0,) * n, b"\x00" * 23, tail_len=23,
             field=self.field,
         )
-        airtime = (sample.wire_bytes() + 18) * 8.0 \
-            / self.mote.channel.bitrate_kbps
-        return airtime + self.config.data_gap_ms
 
     # ------------------------------------------------------------------
     def _on_frame(self, frame):

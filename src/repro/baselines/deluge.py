@@ -24,7 +24,6 @@ apples-to-apples.
 from repro.baselines.base import BaselineNode
 from repro.baselines.trickle import TrickleTimer
 from repro.core.messages import DataPacket
-from repro.core.mnp import ProgramInfo
 from repro.experiments.common import register_protocol
 
 
@@ -117,11 +116,6 @@ class DelugeNode(BaselineNode):
         self.mote.wake_radio()
         self.trickle.start()
 
-    def _per_packet_ms(self):
-        sample = DataPacket(self.node_id, 1, 0, b"\x00" * 23)
-        airtime = (sample.wire_bytes() + 18) * 8.0 / self.mote.channel.bitrate_kbps
-        return airtime + self.config.data_gap_ms
-
     def _page_time_ms(self):
         packets = self.program.segment_packets if self.program else 128
         return packets * self._per_packet_ms()
@@ -140,24 +134,10 @@ class DelugeNode(BaselineNode):
         self.send(summary)
 
     def _handle_summary(self, s):
-        if self.program is None or s.program_id > self.program.program_id:
-            # Security: summaries are unsigned, so a secured node only
-            # adopts the one version its pre-provisioned manifest vouches
-            # for -- forged "newer" versions and rollbacks are refused.
-            if not self._accepts_version(s.program_id, s.source_id):
-                return
-            self.program = ProgramInfo(
-                s.program_id, s.n_segments, s.segment_packets,
-                s.last_seg_packets,
-            )
-            self.rvd_seg = 0
-            self._seg_missing.clear()
-            self.trickle.reset()
-            if self.role == self.TX:
-                # The page being streamed belongs to the old version.
-                self._tx_timer.stop()
-                self.role = self.MAINTAIN
-        if s.program_id != self.program.program_id:
+        # Summaries are unsigned: a secured node adopts only the version
+        # its pre-provisioned manifest vouches for.
+        self._adopt_version(s)
+        if self.program is None or s.program_id != self.program.program_id:
             return
         if s.gamma == self.rvd_seg:
             self.trickle.heard_consistent()
@@ -173,6 +153,13 @@ class DelugeNode(BaselineNode):
         else:
             # They are behind: our next summary will trigger their request.
             self.trickle.reset()
+
+    def _stop_sending_old_version(self):
+        self.trickle.reset()
+        if self.role == self.TX:
+            # The page being streamed belongs to the old version.
+            self._tx_timer.stop()
+            self.role = self.MAINTAIN
 
     # ------------------------------------------------------------------
     # RX: requesting and receiving a page
@@ -249,7 +236,7 @@ class DelugeNode(BaselineNode):
         self._tx_vector.clear(packet_id)
         packet = DataPacket(
             self.node_id, self._tx_page, packet_id,
-            self.mote.eeprom.read(self.flash_key(self._tx_page, packet_id)),
+            self._packet_payload(self._tx_page, packet_id),
         )
         self.send(packet)
 

@@ -12,7 +12,6 @@ repaired.
 
 from repro.baselines.base import BaselineNode
 from repro.core.messages import DataPacket
-from repro.core.mnp import ProgramInfo
 from repro.experiments.common import register_protocol
 
 
@@ -89,7 +88,7 @@ class FloodNode(BaselineNode):
         seg_id, packet_id = self._outbox.pop(0)
         packet = DataPacket(
             self.node_id, seg_id, packet_id,
-            self.mote.eeprom.read(self.flash_key(seg_id, packet_id)),
+            self._packet_payload(seg_id, packet_id),
         )
         self.send(packet)
 
@@ -107,17 +106,17 @@ class FloodNode(BaselineNode):
                 and not self._tx_timer.running:
             self._tx_timer.start(self.config.data_gap_ms)
 
+    def _stop_sending_old_version(self):
+        # Queued rebroadcasts, and any announcement still due, are of the
+        # old version.
+        self._outbox.clear()
+        self._adv_left = 0
+
     # ------------------------------------------------------------------
     def _on_frame(self, frame):
         msg = frame.payload
         if isinstance(msg, FloodAdv):
-            if self.program is None or msg.program_id > self.program.program_id:
-                self.program = ProgramInfo(
-                    msg.program_id, msg.n_segments, msg.segment_packets,
-                    msg.last_seg_packets,
-                )
-                self.rvd_seg = 0
-                self._seg_missing.clear()
+            if self._adopt_version(msg):
                 self.parent = msg.source_id
                 self.sim.tracer.emit(
                     "proto.parent", node=self.node_id, parent=self.parent

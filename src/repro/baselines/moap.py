@@ -15,7 +15,6 @@ suppression.  The radio is always on.
 
 from repro.baselines.base import BaselineNode
 from repro.core.messages import DataPacket
-from repro.core.mnp import ProgramInfo
 from repro.experiments.common import register_protocol
 
 
@@ -134,11 +133,6 @@ class MoapNode(BaselineNode):
         if self.role == self.PUBLISH:
             self._schedule_publish()
 
-    def _per_packet_ms(self):
-        sample = DataPacket(self.node_id, 1, 0, b"\x00" * 23)
-        airtime = (sample.wire_bytes() + 18) * 8.0 / self.mote.channel.bitrate_kbps
-        return airtime + self.config.data_gap_ms
-
     def _image_time_ms(self):
         total = sum(
             self.program.n_packets(s)
@@ -199,9 +193,7 @@ class MoapNode(BaselineNode):
             return
         packet = DataPacket(
             self.node_id, self._stream_seg, self._stream_pkt,
-            self.mote.eeprom.read(
-                self.flash_key(self._stream_seg, self._stream_pkt)
-            ),
+            self._packet_payload(self._stream_seg, self._stream_pkt),
         )
         self._stream_pkt += 1
         if self._stream_pkt >= self.program.n_packets(self._stream_seg):
@@ -217,7 +209,7 @@ class MoapNode(BaselineNode):
         seg_id, packet_id = self._repair_queue.pop(0)
         packet = DataPacket(
             self.node_id, seg_id, packet_id,
-            self.mote.eeprom.read(self.flash_key(seg_id, packet_id)),
+            self._packet_payload(seg_id, packet_id),
         )
         self.send(packet)
 
@@ -234,13 +226,7 @@ class MoapNode(BaselineNode):
     # Receiver side
     # ------------------------------------------------------------------
     def _handle_publish(self, pub):
-        if self.program is None or pub.program_id > self.program.program_id:
-            self.program = ProgramInfo(
-                pub.program_id, pub.n_segments, pub.segment_packets,
-                pub.last_seg_packets,
-            )
-            self.rvd_seg = 0
-            self._seg_missing.clear()
+        self._adopt_version(pub)
         if self.role == self.LISTEN and not self.has_full_image:
             self.parent = pub.source_id
             if not self._subscribe_timer.running:
@@ -333,6 +319,18 @@ class MoapNode(BaselineNode):
                 self._repair_queue.append((nak.seg_id, packet_id))
         if idle and self._repair_queue:
             self._send_next_repair()
+
+    def _stop_sending_old_version(self):
+        if self.role == self.LISTEN:
+            return
+        # Publishing, streaming or repairing the old version's image:
+        # drop it and listen for the new one.
+        self.role = self.LISTEN
+        self._publish_timer.stop()
+        self._stream_timer.stop()
+        self._repair_timer.stop()
+        self._repair_queue.clear()
+        self._subscribers.clear()
 
     def _become_publisher(self):
         self.role = self.PUBLISH

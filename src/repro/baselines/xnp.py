@@ -12,7 +12,6 @@ neighborhood -- exactly the limitation quoted in the paper's introduction
 
 from repro.baselines.base import BaselineNode
 from repro.core.messages import DataPacket
-from repro.core.mnp import ProgramInfo
 from repro.experiments.common import register_protocol
 
 
@@ -100,11 +99,6 @@ class XnpNode(BaselineNode):
         if self.is_base:
             self._timer.start(self.config.adv_gap_ms)
 
-    def _per_packet_ms(self):
-        sample = DataPacket(self.node_id, 1, 0, b"\x00" * 23)
-        airtime = (sample.wire_bytes() + 18) * 8.0 / self.mote.channel.bitrate_kbps
-        return airtime + self.config.data_gap_ms
-
     # ------------------------------------------------------------------
     # Base station side
     # ------------------------------------------------------------------
@@ -150,7 +144,7 @@ class XnpNode(BaselineNode):
         seg_id, packet_id = self._stream.pop(0)
         packet = DataPacket(
             self.node_id, seg_id, packet_id,
-            self.mote.eeprom.read(self.flash_key(seg_id, packet_id)),
+            self._packet_payload(seg_id, packet_id),
         )
         self.send(packet)
 
@@ -167,13 +161,7 @@ class XnpNode(BaselineNode):
     def _handle_adv(self, adv):
         if self.is_base:
             return
-        if self.program is None or adv.program_id > self.program.program_id:
-            self.program = ProgramInfo(
-                adv.program_id, adv.n_segments, adv.segment_packets,
-                adv.last_seg_packets,
-            )
-            self.rvd_seg = 0
-            self._seg_missing.clear()
+        if self._adopt_version(adv):
             self.parent = adv.source_id
             self.sim.tracer.emit(
                 "proto.parent", node=self.node_id, parent=self.parent

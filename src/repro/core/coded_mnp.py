@@ -207,7 +207,11 @@ class CodedMNPNode(MNPNode):
         tracker = self._missing_for(msg.seg_id)
         progressed = tracker.absorb(msg.coeffs, msg.payload, msg.tail_len)
         if tracker.decoded and not tracker.is_empty():
-            if not self._verify_generation(msg.seg_id, tracker):
+            # A tampered coded packet poisons the whole decoder matrix,
+            # so the decoded generation is checked before the flush and
+            # quarantined whole on a mismatch.
+            if not self._verify_segment(msg.seg_id, tracker.decoded_packets):
+                self._fail("generation digest mismatch")
                 return False
             try:
                 flushed = tracker.flush(
@@ -223,45 +227,16 @@ class CodedMNPNode(MNPNode):
             progressed = progressed or flushed
         return progressed
 
-    def _verify_generation(self, seg_id, tracker):
-        """Security-on digest check of the *decoded* generation, run
-        between Gauss-Jordan completion and the EEPROM flush.
-
-        A tampered coded packet poisons the whole matrix -- every
-        recovered packet may be garbage even though each received frame
-        looked valid -- so on a digest mismatch the entire generation is
-        quarantined (tracker reset to rank zero, any flushed bytes
-        discarded) and the node fails into a clean re-request.
-        """
-        if self.security is None or self.manifest is None:
-            return True
-        if self.manifest.verify_segment(seg_id, tracker.decoded_packets()):
-            return True
-        self.quarantines += 1
-        n = tracker.n
-        self.mote.eeprom.discard(
-            self._flash_key(seg_id, pid) for pid in range(n)
-        )
-        tracker.reset()
-        self.sim.tracer.emit(
-            "auth.quarantine", node=self.node_id, seg=seg_id,
-        )
-        self._fail("generation digest mismatch")
-        return False
-
     # ------------------------------------------------------------------
     # Accounting and fault hooks
     # ------------------------------------------------------------------
-    def _per_packet_ms(self):
+    def _sample_data_packet(self):
         """Honest coded airtime: the coefficient header rides every frame."""
         n = self.program.segment_packets if self.program else 32
-        sample = CodedDataPacket(
+        return CodedDataPacket(
             self.node_id, 1, (0,) * n, b"\x00" * 23, tail_len=23,
             field=self.field,
         )
-        airtime = (sample.wire_bytes() + 18) * 8.0 \
-            / self.mote.channel.bitrate_kbps
-        return airtime + self.config.data_gap_ms
 
     def ram_footprint_bytes(self):
         total = super().ram_footprint_bytes()

@@ -390,20 +390,6 @@ class CodedSegmentTracker:
         anything to EEPROM."""
         return [self.packet(pid) for pid in range(self.n)]
 
-    def reset(self):
-        """Quarantine: discard the whole generation -- decoder matrix and
-        flush bookkeeping alike -- so every combination is re-requested.
-
-        A tampered coded packet poisons the Gauss-Jordan matrix: once a
-        bad row is reduced in, *every* recovered packet may be garbage,
-        so rejecting a generation whose decoded bytes fail their digest
-        means starting the rank from zero.  The caller is responsible
-        for discarding any flushed EEPROM keys.
-        """
-        self.decoder = GenerationDecoder(self.n, self.payload_len,
-                                         self.field_name)
-        self.written = BitVector.none_set(self.n)
-
     def reboot(self, read_fn):
         """Rebuild after a power cycle: RAM rank is lost, flash survives.
 

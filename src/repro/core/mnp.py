@@ -33,7 +33,7 @@ Interpretation notes (where the paper under-specifies):
 
 from repro.core.bitvector import BitVector
 from repro.core.config import MNPConfig
-from repro.core.crc import crc16_incremental
+from repro.core.image_node import ImageNode, ProgramInfo
 from repro.core.loss_log import EepromMissingLog
 from repro.core.messages import (
     Advertisement,
@@ -48,57 +48,15 @@ from repro.core.messages import (
 )
 from repro.core.sender_selection import loses_to, preempted_by_lower_segment
 from repro.core.states import MNPState, is_allowed
-from repro.hardware.bootloader import InstallResult
 from repro.hardware.eeprom import EepromError
-from repro.hardware.energy import EnergyModel
 from repro.radio.propagation import FULL_POWER, MIN_POWER
-
-
-class ProgramInfo:
-    """What a node knows about the program being disseminated.
-
-    ``image_crc`` (CRC-16 of the full image) rides in advertisements so a
-    receiver can verify the staged image before handing it to the
-    bootloader; None means the source did not advertise one.
-    """
-
-    __slots__ = ("program_id", "n_segments", "segment_packets",
-                 "last_seg_packets", "image_crc", "group_id")
-
-    def __init__(self, program_id, n_segments, segment_packets,
-                 last_seg_packets, image_crc=None, group_id=0):
-        self.program_id = program_id
-        self.n_segments = n_segments
-        self.segment_packets = segment_packets
-        self.last_seg_packets = last_seg_packets
-        self.image_crc = image_crc
-        self.group_id = group_id
-
-    @classmethod
-    def of_image(cls, image):
-        return cls(
-            image.program_id,
-            image.n_segments,
-            image.segment(1).n_packets,
-            image.segment(image.n_segments).n_packets,
-            image_crc=image.crc16,
-            group_id=getattr(image, "group_id", 0),
-        )
-
-    def n_packets(self, seg_id):
-        """Packet count of segment ``seg_id``."""
-        if not 1 <= seg_id <= self.n_segments:
-            raise KeyError(f"segment {seg_id} out of 1..{self.n_segments}")
-        if seg_id == self.n_segments:
-            return self.last_seg_packets
-        return self.segment_packets
 
 
 class TransitionError(RuntimeError):
     """An attempted state change not present in Fig. 4."""
 
 
-class MNPNode:
+class MNPNode(ImageNode):
     """MNP running on one mote.
 
     Parameters
@@ -110,14 +68,15 @@ class MNPNode:
     image:
         The full :class:`repro.core.segments.CodeImage` if this node is a
         base station (initial holder of the new program); None otherwise.
+
+    The program ledger, flash layout, install path and secure-OTA checks
+    are :class:`~repro.core.image_node.ImageNode`'s; this class is the
+    Fig. 4 machine that moves the packets.
     """
 
     def __init__(self, mote, config=None, image=None):
-        self.mote = mote
-        self.sim = mote.sim
+        super().__init__(mote, image=image)
         self.config = config or MNPConfig()
-        self.node_id = mote.node_id
-        self._energy_model = EnergyModel()
         # §6 multi-subset extension: this node's group memberships.
         # Objects tagged group 0 are for everyone.
         self.groups = frozenset()
@@ -125,13 +84,6 @@ class MNPNode:
         # targeted at a group we are not part of (lets us sleep through
         # that transfer instead of idle-listening).
         self._foreign_object = False
-
-        # Program knowledge and progress.
-        self.program = None  # ProgramInfo, learned from image or the air
-        self.rvd_seg = 0  # highest fully received segment (RvdSegID)
-        self._seg_missing = {}  # seg id -> BitVector (persists across fails)
-        self._base_image = image
-        self.got_code_time = None
 
         # State machine.
         self.state = MNPState.IDLE
@@ -153,7 +105,6 @@ class MNPNode:
         self._request_echo = 0
 
         # Download-state variables.
-        self.parent = None
         self.download_seg = 0
         self._download_timer = mote.new_timer(self._on_download_timeout, "dl")
 
@@ -179,15 +130,9 @@ class MNPNode:
         self._listen_timer = mote.new_timer(self._maybe_nap_until_next_adv,
                                             "listen")
 
-        # Secure OTA pipeline (repro.core.auth), default off: with no
-        # SecurityConfig the node behaves bit-identically to stock MNP
-        # (no hooks, no extra RNG draws, unchanged wire formats).
-        self.security = None  # SecurityConfig once configure_security()
-        self.manifest = None  # verified ImageManifest for self.program
+        # Signed advertisements (security on; see _authenticate_adv).
         self._adv_nonce = 0  # our own monotonic advertisement nonce
         self._nonce_seen = {}  # source id -> highest authenticated nonce
-        self.auth_rejects = 0  # advertisements dropped by authentication
-        self.quarantines = 0  # segments discarded on digest mismatch
 
         # Statistics.
         self.sender_rounds = 0
@@ -204,19 +149,6 @@ class MNPNode:
         # against a sleeping radio on every round, forever.
         self._backoff_until = 0.0
 
-        mote.mac.on_receive = self._on_frame
-        mote.mac.on_send_done = self._on_send_done
-
-        if image is not None:
-            self.program = ProgramInfo.of_image(image)
-            self.rvd_seg = image.n_segments
-            for segment in image.segments:
-                for pkt_id, payload in enumerate(segment.packets):
-                    mote.eeprom.preload(
-                        self._flash_key(segment.seg_id, pkt_id), payload
-                    )
-            self.got_code_time = 0.0
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -226,71 +158,6 @@ class MNPNode:
         self.mote.wake_radio()
         if self._can_advertise():
             self._enter_advertise()
-
-    @property
-    def has_full_image(self):
-        return self.program is not None and self.rvd_seg == self.program.n_segments
-
-    def configure_security(self, security):
-        """Enable the secure OTA pipeline (:mod:`repro.core.auth`).
-
-        Called by the deployment before :meth:`start`.  A base station
-        signs its image into a manifest; everyone else obtains the
-        manifest from verified signed advertisements.  A ``None`` or
-        disabled config is a no-op, keeping golden runs bit-identical.
-        """
-        if security is None or not security.enabled:
-            return
-        from repro.core.auth import ImageManifest
-
-        self.security = security
-        if self._base_image is not None:
-            self.manifest = ImageManifest.of_image(
-                self._base_image, security.key)
-
-    def install_signal(self):
-        """External start signal (§3.5): verify and install the staged
-        image through the bootloader; returns True if the node rebooted
-        into the new program.
-
-        With security enabled the bootloader additionally demands the
-        signed manifest's digest and signature; a rejected image is
-        quarantined (staged bytes discarded, progress reset) so the node
-        re-requests a clean copy instead of re-verifying the same
-        tampered bytes forever."""
-        if not self.has_full_image:
-            return False
-        secured = self.security is not None and self.manifest is not None
-        result = self.mote.bootloader.install(
-            self.program.program_id,
-            self.assemble_image(),
-            expected_crc=self.program.image_crc,
-            manifest=self.manifest if secured else None,
-            key=self.security.key if secured else None,
-        )
-        if result in (InstallResult.BAD_SIGNATURE,
-                      InstallResult.DIGEST_MISMATCH):
-            self._quarantine_image()
-            return False
-        if result != InstallResult.OK:
-            return False
-        self.mote.reboot()
-        return True
-
-    def verify_image(self):
-        """CRC-check the staged image against the advertised CRC without
-        installing (returns False while incomplete or on mismatch; True
-        when intact, or complete with no CRC advertised)."""
-        if not self.has_full_image:
-            return False
-        if self.program.image_crc is None:
-            return True
-        chunks = (
-            self.mote.eeprom.read(self._flash_key(seg_id, pkt_id))
-            for seg_id in range(1, self.program.n_segments + 1)
-            for pkt_id in range(self.program.n_packets(seg_id))
-        )
-        return crc16_incremental(chunks) == self.program.image_crc
 
     def load_image(self, image):
         """Out-of-band image injection: the operator hands this node (a
@@ -307,22 +174,8 @@ class MNPNode:
                 f"image v{image.program_id} is not newer than "
                 f"v{self.program.program_id}"
             )
-        self._stop_all_timers()
-        self._base_image = image
-        self.program = ProgramInfo.of_image(image)
-        if self.security is not None:
-            from repro.core.auth import ImageManifest
-
-            self.manifest = ImageManifest.of_image(image, self.security.key)
-        self.rvd_seg = image.n_segments
-        self._seg_missing.clear()
-        for segment in image.segments:
-            for pkt_id, payload in enumerate(segment.packets):
-                self.mote.eeprom.preload(
-                    self._flash_key(segment.seg_id, pkt_id), payload
-                )
-        self.got_code_time = self.sim.now
-        self.state = MNPState.IDLE  # operator reset (out of band)
+        self._reset_to_idle()
+        self._hold_image(image, self.sim.now)
         self.mote.wake_radio()
         self._adv_interval = self.config.adv_interval_ms
         self._enter_advertise()
@@ -337,12 +190,7 @@ class MNPNode:
         flash).  Like :meth:`load_image`, this is an out-of-band reset,
         not a Fig. 4 transition.
         """
-        self._stop_all_timers()
-        if self.state != MNPState.IDLE:
-            self.state_changes.append(
-                (self.sim.now, self.state, MNPState.IDLE)
-            )
-            self.state = MNPState.IDLE
+        self._reset_to_idle()
         self.parent = None
         self._request_dest = None
         self.req_ctr = 0
@@ -351,28 +199,6 @@ class MNPNode:
         self._backoff_until = 0.0
         self._adv_interval = self.config.adv_interval_ms
         self.start()
-
-    def assemble_image(self):
-        """Read the received image back out of EEPROM (None if incomplete).
-
-        Used by tests and examples to check the paper's *accuracy*
-        requirement: the received image must be byte-identical.
-        """
-        if not self.has_full_image:
-            return None
-        chunks = []
-        for seg_id in range(1, self.program.n_segments + 1):
-            for pkt_id in range(self.program.n_packets(seg_id)):
-                chunks.append(
-                    self.mote.eeprom.read(self._flash_key(seg_id, pkt_id))
-                )
-        return b"".join(chunks)
-
-    def energy_nah(self):
-        """Total charge consumed so far (Table 1 operation counting)."""
-        return self._energy_model.node_energy_nah(
-            self.mote.radio, self.mote.eeprom
-        )
 
     def battery_fraction(self):
         """Remaining battery as a fraction of capacity."""
@@ -407,12 +233,6 @@ class MNPNode:
     # ------------------------------------------------------------------
     # Derived timing quantities
     # ------------------------------------------------------------------
-    def _per_packet_ms(self):
-        """Expected time to put one data packet on the air, incl. pacing."""
-        sample = DataPacket(self.node_id, 1, 0, b"\x00" * 23)
-        airtime = (sample.wire_bytes() + 18) * 8.0 / self.mote.channel.bitrate_kbps
-        return airtime + self.config.data_gap_ms
-
     def _segment_time_ms(self):
         """Expected transmission time of one full segment."""
         packets = self.program.segment_packets if self.program else 128
@@ -436,6 +256,18 @@ class MNPNode:
             )
         self.state_changes.append((self.sim.now, self.state, new_state))
         self.state = new_state
+
+    def _reset_to_idle(self):
+        """Out-of-band return to IDLE: an operator loading an image, a
+        crash restart, or a newer version obsoleting what we offer.  None
+        is a Fig. 4 transition, but each is logged like one, so
+        ``state_changes`` stays one unbroken chain."""
+        self._stop_all_timers()
+        if self.state != MNPState.IDLE:
+            self.state_changes.append(
+                (self.sim.now, self.state, MNPState.IDLE)
+            )
+            self.state = MNPState.IDLE
 
     def _stop_all_timers(self):
         for timer in (self._adv_timer, self._download_timer, self._fwd_timer,
@@ -617,14 +449,6 @@ class MNPNode:
         start = StartDownload(self.node_id, self.offer_seg, n_packets)
         self.mote.mac.send(start, start.wire_bytes())
         # Data packets flow from _on_send_done pacing.
-
-    def _flash_key(self, seg_id, packet_id):
-        """EEPROM key for one packet; version-qualified so an upgrade's
-        packets never alias (or recount) the previous image's."""
-        return (self.program.program_id, seg_id, packet_id)
-
-    def _packet_payload(self, seg_id, packet_id):
-        return self.mote.eeprom.read(self._flash_key(seg_id, packet_id))
 
     def _send_next_data(self):
         if self.state not in (MNPState.FORWARD, MNPState.QUERY):
@@ -842,64 +666,10 @@ class MNPNode:
         missing.clear(msg.packet_id)
         return True
 
-    def _verify_segment(self, seg_id):
-        """Security-on digest check for a just-completed segment, run
-        *before* the segment is accepted (``rvd_seg`` advance).  On a
-        mismatch the staged packets are quarantined and the node fails
-        into a clean re-request; returns False in that case."""
-        if self.security is None or self.manifest is None:
-            return True
-        n = self.program.n_packets(seg_id)
-        try:
-            packets = [
-                self.mote.eeprom.read(self._flash_key(seg_id, pid))
-                for pid in range(n)
-            ]
-        except KeyError:
-            packets = None
-        if packets is not None \
-                and self.manifest.verify_segment(seg_id, packets):
-            return True
-        self._quarantine_segment(seg_id)
-        return False
-
-    def _quarantine_segment(self, seg_id):
-        """Discard a tampered segment: staged EEPROM bytes and the loss
-        tracker both go, so the next advertisement round re-requests the
-        whole segment instead of re-verifying the same bad bytes."""
-        self.quarantines += 1
-        n = self.program.n_packets(seg_id)
-        self.mote.eeprom.discard(
-            self._flash_key(seg_id, pid) for pid in range(n)
-        )
-        self._seg_missing.pop(seg_id, None)
-        self.sim.tracer.emit(
-            "auth.quarantine", node=self.node_id, seg=seg_id,
-        )
-        self._fail("segment digest mismatch")
-
-    def _quarantine_image(self):
-        """Discard the whole staged image after a bootloader signature or
-        digest rejection; dissemination restarts from segment one."""
-        if self.program is None:
-            return
-        self.quarantines += 1
-        keys = [
-            self._flash_key(seg_id, pid)
-            for seg_id in range(1, self.program.n_segments + 1)
-            for pid in range(self.program.n_packets(seg_id))
-        ]
-        self.mote.eeprom.discard(keys)
-        self._seg_missing.clear()
-        self.rvd_seg = 0
-        self.got_code_time = None
-        self.sim.tracer.emit(
-            "auth.quarantine", node=self.node_id, seg=0,
-        )
-
     def _complete_segment(self):
         seg_id = self.download_seg
         if not self._verify_segment(seg_id):
+            self._fail("segment digest mismatch")
             return
         self.rvd_seg = seg_id
         self._fail_streak = 0
@@ -1038,12 +808,8 @@ class MNPNode:
                 # A newer version obsoletes what we were offering; fall
                 # back to listening.  (Version changes are outside Fig. 4,
                 # which assumes a single version per §2.)
-                self._stop_all_timers()
+                self._reset_to_idle()
                 self.mote.wake_radio()
-                self.state_changes.append(
-                    (self.sim.now, self.state, MNPState.IDLE)
-                )
-                self.state = MNPState.IDLE
         if not self.heard_first_adv:
             self.heard_first_adv = True
             self.sim.tracer.emit(
@@ -1067,23 +833,17 @@ class MNPNode:
         if self.security is None:
             return True
         if not isinstance(adv, SignedAdvertisement):
-            return self._reject_adv(adv, "unsigned")
-        if not adv.verify(self.security.key):
-            return self._reject_adv(adv, "bad-signature")
-        if adv.nonce <= self._nonce_seen.get(adv.source_id, 0):
-            return self._reject_adv(adv, "replay")
-        if adv.program_id <= self.mote.bootloader.running_program_id:
-            return self._reject_adv(adv, "rollback")
-        self._nonce_seen[adv.source_id] = adv.nonce
-        return True
-
-    def _reject_adv(self, adv, reason):
-        self.auth_rejects += 1
-        self.sim.tracer.emit(
-            "auth.reject", node=self.node_id, source=adv.source_id,
-            version=adv.program_id, reason=reason,
-        )
-        return False
+            reason = "unsigned"
+        elif not adv.verify(self.security.key):
+            reason = "bad-signature"
+        elif adv.nonce <= self._nonce_seen.get(adv.source_id, 0):
+            reason = "replay"
+        elif adv.program_id <= self.mote.bootloader.running_program_id:
+            reason = "rollback"
+        else:
+            self._nonce_seen[adv.source_id] = adv.nonce
+            return True
+        return self._reject_version(adv.source_id, adv.program_id, reason)
 
     def _handle_advertisement(self, adv):
         if not self._authenticate_adv(adv):

@@ -199,21 +199,14 @@ class FaultedRun:
             self.completion_ms / SECOND if self.completion_ms else None
         )
         #: Complete node id -> its image read back from flash.
-        self.images = {
-            n: nodes[n].assemble_image() for n in self.complete
-            if hasattr(nodes[n], "assemble_image")
-        }
+        self.images = {n: nodes[n].assemble_image() for n in self.complete}
         expected = dep.image.to_bytes()
         self.corrupt_images = sum(
             1 for image in self.images.values() if image != expected
         )
         self.fails = sum(getattr(n, "fails", 0) for n in nodes.values())
-        self.auth_rejects = sum(
-            getattr(n, "auth_rejects", 0) for n in nodes.values()
-        )
-        self.quarantines = sum(
-            getattr(n, "quarantines", 0) for n in nodes.values()
-        )
+        self.auth_rejects = sum(n.auth_rejects for n in nodes.values())
+        self.quarantines = sum(n.quarantines for n in nodes.values())
         self.messages = sum(dep.collector.tx_by_node.values())
         self.collisions = dep.collector.collisions
         self.elapsed_s = dep.sim.now / SECOND

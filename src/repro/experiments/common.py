@@ -183,9 +183,8 @@ class RunResult:
         disseminated image byte-for-byte."""
         expected = reference_image.to_bytes()
         for node in self.nodes.values():
-            if node.has_full_image and hasattr(node, "assemble_image"):
-                if node.assemble_image() != expected:
-                    return False
+            if node.has_full_image and node.assemble_image() != expected:
+                return False
         return True
 
 
@@ -307,8 +306,6 @@ class Deployment:
 
         manifest = ImageManifest.of_image(self.image, security.key)
         for node in self.nodes.values():
-            if not hasattr(node, "configure_security"):
-                continue
             if isinstance(node, MNPNode):
                 # The MNP family learns the manifest over the air from
                 # verified signed advertisements (bases sign their own).
@@ -325,8 +322,7 @@ class Deployment:
             if not self.motes[node_id].alive:
                 continue
             node = self.nodes[node_id]
-            if not node.has_full_image \
-                    or not hasattr(node, "install_signal"):
+            if not node.has_full_image:
                 continue
             if node.install_signal():
                 installed += 1
