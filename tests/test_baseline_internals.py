@@ -1,8 +1,11 @@
 """Unit-level tests of baseline protocol internals (handlers driven
 directly, without full dissemination runs)."""
 
+import random
+
 import pytest
 
+from repro.baselines.coded_deluge import CodedDelugeNode
 from repro.baselines.deluge import DelugeNode, PageRequest, Summary
 from repro.baselines.flood import FloodAdv, FloodNode
 from repro.baselines.moap import (
@@ -15,7 +18,8 @@ from repro.baselines.moap import (
 from repro.baselines.xnp import XnpAdv, XnpNak, XnpNode, XnpQuery
 from repro.core.auth import ImageManifest, SecurityConfig
 from repro.core.bitvector import BitVector
-from repro.core.messages import DataPacket
+from repro.core.coding import GenerationEncoder
+from repro.core.messages import CodedDataPacket, DataPacket
 from repro.core.segments import CodeImage
 from repro.radio.packet import Frame
 from tests.conftest import make_world
@@ -116,6 +120,52 @@ def test_deluge_adopting_newer_version_stops_streaming():
     assert base.program.program_id == 2
     assert base.role == DelugeNode.MAINTAIN
     assert not base._tx_timer.running
+
+
+def test_deluge_power_cycle_returns_to_maintain():
+    # A crash kills the node's timers with its MCU.  Deluge asks for
+    # pages only from MAINTAIN, so a node restarted in RX used to stay
+    # there, timerless, and never asked again.
+    world, base, node = pair(DelugeNode, image=image2())
+    node.start()
+    node._handle_summary(summary(0, gamma=2))
+    world.sim.run(until=world.sim.now + node.config.request_backoff_ms)
+    assert node.role == DelugeNode.RX  # requested page 1 from node 0
+    node.mote.kill()
+    world.sim.run(until=world.sim.now + 60_000)  # its RX timer dies
+    node.mote.revive()
+    node.power_cycle()
+    assert node.role == DelugeNode.MAINTAIN
+    assert not node._rx_timer.running
+    assert node.mote.radio.is_on
+    node._handle_summary(summary(0, gamma=2))
+    assert node._request_timer.running  # it asks again
+
+
+def test_coded_deluge_power_cycle_keeps_only_flushed_rows():
+    # The decoder matrices live in RAM and die in a crash; a flushed
+    # page survives in flash, as unit-vector rows.
+    world, base, node = pair(CodedDelugeNode, image=image2())
+    node.start()
+    node._handle_summary(summary(0, gamma=2))
+    for page, rows in ((1, 4), (2, 2)):
+        encoder = GenerationEncoder(image2().segment(page).packets,
+                                    random.Random(page))
+        for _ in range(rows):
+            coeffs, payload = encoder.next_coded()
+            node._handle_data(CodedDataPacket(
+                0, page, coeffs, payload, tail_len=encoder.tail_len))
+    assert node.rvd_seg == 1
+    assert [node._seg_missing[page].rank for page in (1, 2)] == [4, 2]
+    node.mote.kill()
+    node.mote.revive()
+    node.power_cycle()
+    assert [node._seg_missing[page].rank for page in (1, 2)] == [4, 0]
+    assert node._seg_missing[1].is_empty()
+
+
+def _teach_deluge(node, program_id):
+    node._handle_summary(summary(0, gamma=0, program=program_id))
 
 
 # ----------------------------------------------------------------------
@@ -299,3 +349,23 @@ def test_secured_baseline_refuses_forged_newer_version(cls, teach):
     teach(node, 2)  # a forged "newer" version is refused
     assert node.program.program_id == 1
     assert node.auth_rejects == 1
+
+
+@pytest.mark.parametrize("cls,teach", [
+    (DelugeNode, _teach_deluge),
+    (MoapNode, _teach_moap),
+    (FloodNode, _teach_flood),
+    (XnpNode, _teach_xnp),
+], ids=["deluge", "moap", "flood", "xnp"])
+def test_baseline_adopting_newer_version_resets_got_code_time(cls, teach):
+    # A node that completed version 1 has not completed version 2; it
+    # used to keep its version-1 time, so a run reported completion
+    # before its nodes held the version they settled on.
+    world, base, node = pair(cls, image=image2())
+    node.start()
+    node._hold_image(image2(), 1_000.0)
+    assert node.got_code_time == 1_000.0
+    teach(node, 2)
+    assert node.program.program_id == 2
+    assert node.rvd_seg == 0
+    assert node.got_code_time is None

@@ -96,6 +96,19 @@ def test_chaos_moap_survives_a_corrupted_version_number():
     json.dumps(out.to_dict())
 
 
+@pytest.mark.parametrize("protocol", ["deluge", "coded_deluge"])
+def test_chaos_deluge_node_restarted_mid_page_rejoins(protocol):
+    # Node 32 crashes in RX and restarts 90 s later.  Its timers died
+    # with it, and a Deluge node asks for pages only from MAINTAIN, so it
+    # used to sit in RX with 1 of 2 pages for the rest of the hour.
+    out = run_chaos(standard_plan("crash", 0.9, 6, 6), rows=6, cols=6,
+                    protocol=protocol, n_segments=2, segment_packets=16,
+                    seed=4, deadline_min=60)
+    assert 32 in out.controller.restarted_nodes
+    assert out.verdict["ok"], out.verdict
+    assert out.survivor_coverage == 1.0
+
+
 # ----------------------------------------------------------------------
 # Runner integration: cached, parallel, and consistent
 # ----------------------------------------------------------------------
