@@ -45,7 +45,7 @@ class ProtocolMux:
         """Attach a protocol object exposing ``_on_frame``/``_on_send_done``
         (the convention of MNPNode and the baselines)."""
         return self.attach(payload_types, node._on_frame,
-                           getattr(node, "_on_send_done", None))
+                           node._on_send_done)
 
     # ------------------------------------------------------------------
     def _on_receive(self, frame):

@@ -174,12 +174,7 @@ class FaultController:
         self.restarted_nodes.add(node_id)
         self.counts["restart"] += 1
         self.sim.tracer.emit("fault.restart", node=node_id)
-        node = self.deployment.nodes[node_id]
-        if hasattr(node, "power_cycle"):
-            node.power_cycle()
-        else:
-            mote.wake_radio()
-            node.start()
+        self.deployment.nodes[node_id].power_cycle()
 
     def _install_brownout(self, index, spec):
         nodes = self._pick_nodes(spec, index)
