@@ -8,6 +8,12 @@ shape.  These pins hold every one of those shapes still:
   the ``--json`` matrix;
 * ``adversary`` on ``mnp,coded_mnp`` over all five attack classes, and
   the ``--insecure`` ``tamper,forge`` pair: text and ``--json`` alike;
+* the coded variants the same way: ``chaos`` on ``coded_mnp,coded_deluge``
+  (4x4, two segments: a crash costs a coded MNP node the 14 of 16 rows
+  it held only in RAM, while flushed generations come back from flash),
+  a 6x6 crash run in which Deluge and coded Deluge nodes restart
+  mid-page, and ``adversary`` on ``coded_deluge``, secured and
+  ``--insecure``;
 * :func:`repro.conformance.execute.run_scenario` over the full variant
   fan-out of three generated scenarios -- one with a fault plan, one
   secured (with its adversarial twins), and one sabotaged -- as the
@@ -40,6 +46,21 @@ COMMANDS = {
     "adversary-insecure": ["adversary", "--protocols", "mnp,coded_mnp",
                            "--insecure", "--attacks", "tamper,forge"]
     + _GRID,
+    "chaos-coded": ["chaos", "--protocols", "coded_mnp,coded_deluge",
+                    "--grid", "4x4", "--segments", "2",
+                    "--segment-packets", "16", "--intensity", "0.7",
+                    "--seed", "0", "--no-cache", "--quiet"],
+    "chaos-restart": ["chaos", "--protocols", "deluge,coded_deluge",
+                      "--fault-classes", "crash", "--intensity", "0.9",
+                      "--grid", "6x6", "--segments", "2",
+                      "--segment-packets", "16", "--seed", "4",
+                      "--deadline-min", "60", "--no-cache", "--quiet"],
+    "adversary-coded-deluge": ["adversary", "--protocols", "coded_deluge",
+                               "--attacks", "forge,replay,tamper,swap,blended"]
+    + _GRID,
+    "adversary-coded-deluge-insecure": [
+        "adversary", "--protocols", "coded_deluge", "--insecure",
+        "--attacks", "tamper,forge"] + _GRID,
 }
 
 #: name -> (exit code, exact text output)
@@ -117,6 +138,79 @@ GOLDEN_TEXT = {
         "  2 run(s) breached install/protocol invariants",
         "",
     ))),
+    "chaos-coded": (0, "\n".join((
+        "Chaos: 4x4 grid, intensity 0.7, seed 0",
+        "protocol      fault   coverage  completion_s  fails  corrupt  "
+        "messages  watchdog",
+        "------------  ------  --------  ------------  -----  -------  "
+        "--------  --------",
+        "coded_mnp     crash   100%      120.4         11     0        "
+        "815       ok +1w  ",
+        "coded_mnp     eeprom  100%      36.2          21     9        "
+        "681       ok      ",
+        "coded_mnp     link    100%      91.2          21     0        "
+        "1071      ok +2w  ",
+        "coded_deluge  crash   100%      15.0          0      0        "
+        "256       ok      ",
+        "coded_deluge  eeprom  100%      16.8          0      11       "
+        "277       ok      ",
+        "coded_deluge  link    100%      80.1          0      0        "
+        "519       ok      ",
+        "  coverage/completion are over *surviving* nodes; 'w' counts",
+        "  advisory warnings (concurrent senders) that do not fail a run",
+        "",
+    ))),
+    "chaos-restart": (0, "\n".join((
+        "Chaos: 6x6 grid, intensity 0.9, seed 4",
+        "protocol      fault  coverage  completion_s  fails  corrupt  "
+        "messages  watchdog",
+        "------------  -----  --------  ------------  -----  -------  "
+        "--------  --------",
+        "deluge        crash  100%      117.7         0      0        "
+        "625       ok      ",
+        "coded_deluge  crash  100%      118.5         0      0        "
+        "631       ok      ",
+        "  coverage/completion are over *surviving* nodes; 'w' counts",
+        "  advisory warnings (concurrent senders) that do not fail a run",
+        "",
+    ))),
+    "adversary-coded-deluge": (0, "\n".join((
+        "Adversary (secured): 3x3 grid, intensity 0.5, seed 2",
+        "protocol      attack   coverage  installed  refused  auth_rej  "
+        "quarant  tampered  watchdog",
+        "------------  -------  --------  ---------  -------  --------  "
+        "-------  --------  --------",
+        "coded_deluge  forge    100%      9          0        11        "
+        "0        0         ok      ",
+        "coded_deluge  replay   100%      9          0        0         "
+        "0        0         ok      ",
+        "coded_deluge  tamper   100%      9          0        0         "
+        "11       0         ok      ",
+        "coded_deluge  swap     100%      9          0        0         "
+        "0        0         ok      ",
+        "coded_deluge  blended  100%      9          0        5         "
+        "2        0         ok      ",
+        "  auth_rej counts refused advertisements; quarant counts",
+        "  discarded-and-re-requested segments; tampered counts installs",
+        "  of images that were not the authentic one (must be 0)",
+        "",
+    ))),
+    "adversary-coded-deluge-insecure": (1, "\n".join((
+        "Adversary (insecure): 3x3 grid, intensity 0.5, seed 2",
+        "protocol      attack  coverage  installed  refused  auth_rej  "
+        "quarant  tampered  watchdog   ",
+        "------------  ------  --------  ---------  -------  --------  "
+        "-------  --------  -----------",
+        "coded_deluge  tamper  100%      9          0        0         "
+        "0        8         VIOLATED(8)",
+        "coded_deluge  forge   100%      9          0        0         "
+        "0        9         VIOLATED(9)",
+        "  auth_rej counts refused advertisements; quarant counts",
+        "  discarded-and-re-requested segments; tampered counts installs",
+        "  of images that were not the authentic one (must be 0)",
+        "  2 run(s) breached install/protocol invariants",
+        "",
+    ))),
 }
 
 #: name -> (exit code, SHA-256 of the ``--json`` output)
@@ -127,6 +221,15 @@ GOLDEN_JSON = {
                      "1fb2990880e7eef8d71feaafd70e5132"),
     "adversary-insecure": (1, "605b448fbf56a0fd3ae049b43d0b3b82"
                               "ee203ddc4ea070e6dbf9bfa78011d07b"),
+    "chaos-coded": (0, "9b0ee0735c596911782ffc0ddfdd3b47"
+                       "ce22299e3b6a56d1be672d39cda0c5ee"),
+    "chaos-restart": (0, "2d402007406d34e890f7c88262cdf2f6"
+                         "8423862b6470f5d10f7ddf8368e9b6fb"),
+    "adversary-coded-deluge": (0, "47abbca6890d453ee98c922d18889a69"
+                                  "a12bc2f767bbbd5c1f4a3f5750a04d6b"),
+    "adversary-coded-deluge-insecure": (
+        1, "9c571a7abf9b82301903f866f9cc5995"
+           "2be137a06701eae4489cbce66b767e2b"),
 }
 
 
