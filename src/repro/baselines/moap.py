@@ -292,7 +292,7 @@ class MoapNode(BaselineNode):
         if seg_id is None:
             return
         nak = Nak(self.node_id, self.parent, seg_id,
-                  self.missing_for(seg_id).copy())
+                  self._missing_for(seg_id).copy())
         self.send(nak)
         self._nak_timer.start(2 * self.config.subscribe_backoff_ms
                               + 40 * self._per_packet_ms())

@@ -189,7 +189,7 @@ class XnpNode(BaselineNode):
         if not self._nak_queue or self.has_full_image:
             return
         seg_id = self._nak_queue.pop(0)
-        nak = XnpNak(self.node_id, seg_id, self.missing_for(seg_id).copy())
+        nak = XnpNak(self.node_id, seg_id, self._missing_for(seg_id).copy())
         self.send(nak)
         if self._nak_queue:
             self._nak_timer.start(self.config.nak_backoff_ms)

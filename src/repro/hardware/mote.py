@@ -112,7 +112,7 @@ class Mote:
 
     def revive(self):
         """Power the node back up after a crash.  The protocol object is
-        responsible for restarting itself (see ``MNPNode.power_cycle``);
+        responsible for restarting itself (see ``ImageNode.power_cycle``);
         this only restores the hardware's liveness.  Idempotent."""
         self.alive = True
 

@@ -28,7 +28,7 @@ def test_flood_spreads_data_beyond_base_range():
     dep, res = run(Topology.line(4, 20), image)
     for node_id in (2, 3):  # 40 and 60 ft: beyond the 25 ft base range
         node = dep.nodes[node_id]
-        received = 8 - node.missing_for(1).count() if node.program else 0
+        received = 8 - node._missing_for(1).count() if node.program else 0
         assert received > 0
 
 
@@ -52,7 +52,7 @@ def test_receivers_rebroadcast_each_packet_at_most_once():
     assert data_tx[dep.base_id] == 8
     for node_id in (1, 2):
         node = dep.nodes[node_id]
-        received = 8 - node.missing_for(1).count() if node.program else 0
+        received = 8 - node._missing_for(1).count() if node.program else 0
         assert data_tx.get(node_id, 0) == received <= 8
 
 
