@@ -28,10 +28,10 @@ def test_robustness_churn(benchmark):
 
     rows = [
         ["15% churn mid-update",
-         f"{outcome.survivor_coverage:.0%} of {outcome.survivors_total} "
+         f"{outcome.survivor_coverage:.0%} of {len(outcome.alive)} "
          "survivors",
          f"{outcome.completion_s:.0f}",
-         str(outcome.images_intact)],
+         str(outcome.corrupt_images == 0)],
         ["late joiner (quiescent net)",
          "caught up" if catch_up is not None else "stranded",
          f"{(catch_up or 0) / 1000:.0f}",
@@ -43,6 +43,6 @@ def test_robustness_churn(benchmark):
     ))
 
     assert outcome.survivor_coverage == 1.0
-    assert outcome.images_intact
-    assert len(outcome.killed) >= 4
+    assert outcome.corrupt_images == 0
+    assert len(outcome.controller.crashed_nodes) >= 4
     assert catch_up is not None

@@ -17,8 +17,8 @@ import hashlib
 
 from repro.conformance.spec import ScenarioSpec
 from repro.core.config import MNPConfig
-from repro.experiments.chaos import MNP_FAMILY, FaultedRun
-from repro.experiments.common import Deployment
+from repro.experiments.chaos import FaultedRun
+from repro.experiments.common import MNP_FAMILY, Deployment
 from repro.faults import FaultPlan
 from repro.hardware.mote import MoteConfig
 from repro.radio.propagation import PropagationModel

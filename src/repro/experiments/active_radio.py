@@ -15,18 +15,10 @@ base at the bottom-left corner) produces all four figures:
   rate stays roughly constant while the update is in progress.
 """
 
-from repro.core.segments import CodeImage
-from repro.experiments.common import Deployment
+from repro.experiments.common import grid_deployment
 from repro.experiments.scale import current_scale
 from repro.metrics.reports import format_grid, format_timeline, summarize
-from repro.net.loss_models import EmpiricalLossModel
-from repro.net.topology import Topology
-from repro.radio.propagation import PropagationModel
 from repro.sim.kernel import MINUTE, SECOND
-
-#: The TOSSIM-era radio reaches a couple of grid rings at 10 ft spacing.
-SIM_RANGE_FT = 25.0
-SIM_SPACING_FT = 10.0
 
 
 def run_simulation_grid(rows=None, cols=None, n_segments=None,
@@ -34,22 +26,12 @@ def run_simulation_grid(rows=None, cols=None, n_segments=None,
                         protocol="mnp", deadline_min=480):
     """One large-grid dissemination run at the current REPRO_SCALE."""
     scale = current_scale()
-    rows = rows or scale.grid[0]
-    cols = cols or scale.grid[1]
-    n_segments = n_segments or scale.n_segments
-    segment_packets = segment_packets or scale.segment_packets
-    topo = Topology.grid(rows, cols, SIM_SPACING_FT)
-    image = CodeImage.random(1, n_segments=n_segments,
-                             segment_packets=segment_packets, seed=seed)
-    dep = Deployment(
-        topo, image=image, protocol=protocol,
-        protocol_config=config if protocol == "mnp" else None,
-        base_id=topo.corner_node("bottom-left"), seed=seed,
-        propagation=PropagationModel(SIM_RANGE_FT, 3.0),
-        loss_model=EmpiricalLossModel(seed=seed),
+    dep = grid_deployment(
+        rows or scale.grid[0], cols or scale.grid[1], protocol,
+        n_segments or scale.n_segments,
+        segment_packets or scale.segment_packets, seed, config,
     )
-    run = dep.run_to_completion(deadline_ms=deadline_min * MINUTE)
-    return run
+    return dep.run_to_completion(deadline_ms=deadline_min * MINUTE)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,8 @@ every other experiment.
 """
 
 from repro.core.auth import SecurityConfig
-from repro.experiments.chaos import FaultedRun, grid_deployment
+from repro.experiments.chaos import FAULTED_CONFIG, FaultedRun
+from repro.experiments.common import grid_deployment
 from repro.faults import FaultPlan
 from repro.sim.kernel import MINUTE
 
@@ -74,14 +75,16 @@ def run_adversary(plan, rows=6, cols=6, protocol="mnp", n_segments=2,
     The run ends when every alive node holds the (verified) full image,
     or at the deadline; then every staged image is pushed through the
     bootloader and the watchdog's authentic-install audit closes the
-    books.  Returns the closed
+    books.  The MNP family runs ``config`` (default
+    :data:`~repro.experiments.chaos.FAULTED_CONFIG`).  Returns the closed
     :class:`~repro.experiments.chaos.FaultedRun`.
     """
     if isinstance(plan, dict):
         plan = FaultPlan.from_dict(plan)
     run = FaultedRun(
         grid_deployment(
-            rows, cols, protocol, n_segments, segment_packets, seed, config,
+            rows, cols, protocol, n_segments, segment_packets, seed,
+            FAULTED_CONFIG if config is None else config,
             security=SecurityConfig(enabled=True) if secured else None,
         ),
         plan, stall_ms=stall_ms,

@@ -9,7 +9,8 @@ quantitatively: survivor coverage, completion time, fail counts, image
 integrity, what was injected, and the watchdog's verdict.
 
 :class:`FaultedRun` is also the loop behind adversary runs
-(:mod:`repro.experiments.adversary`) and conformance runs
+(:mod:`repro.experiments.adversary`), churn runs
+(:mod:`repro.experiments.robustness`) and conformance runs
 (:mod:`repro.conformance.execute`); each caller builds its own
 deployment and reports its own fields.
 
@@ -22,18 +23,13 @@ as a plain dict, so it participates in the content hash.
 import hashlib
 
 from repro.core.config import MNPConfig
-from repro.core.segments import CodeImage
-from repro.experiments.common import Deployment
+from repro.experiments.common import grid_deployment
 from repro.faults import FaultController, FaultPlan, InvariantWatchdog
-from repro.net.loss_models import EmpiricalLossModel
-from repro.net.topology import Topology
-from repro.radio.propagation import PropagationModel
 from repro.sim.kernel import MINUTE, SECOND
 
-RANGE_FT = 25.0
-
-#: Protocols that run MNP's control plane (and take an MNPConfig).
-MNP_FAMILY = ("mnp", "coded_mnp")
+#: The MNP family's config under faults and attacks: query/update on, and
+#: the fail backoff at 250 ms.
+FAULTED_CONFIG = MNPConfig(query_update=True, fail_backoff_base_ms=250.0)
 
 #: Fault classes the CLI sweep exercises; each maps intensity in [0, 1]
 #: to a concrete plan (see :func:`standard_plan`).
@@ -85,36 +81,10 @@ def standard_plan(fault_class, intensity=0.5, rows=6, cols=6):
     return plan
 
 
-def grid_deployment(rows, cols, protocol, n_segments, segment_packets, seed,
-                    config=None, security=None):
-    """The lossy grid deployment the chaos and adversary harnesses share.
-
-    The MNP family (``mnp`` and ``coded_mnp``, which shares MNP's whole
-    control plane) runs ``config`` (an :class:`MNPConfig` or its kwargs),
-    by default with query/update on and the fail backoff at 250 ms.
-    """
-    image = CodeImage.random(1, n_segments=n_segments,
-                             segment_packets=segment_packets, seed=seed)
-    protocol_config = None
-    if protocol in MNP_FAMILY:
-        protocol_config = (
-            MNPConfig(**config) if isinstance(config, dict)
-            else config or MNPConfig(query_update=True,
-                                     fail_backoff_base_ms=250.0)
-        )
-    return Deployment(
-        Topology.grid(rows, cols, 10.0), image=image, protocol=protocol,
-        protocol_config=protocol_config, seed=seed,
-        propagation=PropagationModel(RANGE_FT, 3.0),
-        loss_model=EmpiricalLossModel(seed=seed),
-        security=security,
-    )
-
-
 class FaultedRun:
     """One dissemination run under an optional fault plan, audited by an
-    optional watchdog: the loop chaos, adversary and conformance runs
-    share.
+    optional watchdog: the loop chaos, adversary, churn and conformance
+    runs share.
 
     Construction wires the run in a fixed order: the plan's
     :class:`FaultController` installs its hooks, then the
@@ -148,24 +118,13 @@ class FaultedRun:
         deployment.start()
 
     def settle(self, deadline_ms):
-        """Run until every *alive* node holds the full image and the
-        plan's last bounded fault has fired (so a restart scheduled after
-        completion still gets exercised), or until ``deadline_ms``."""
-        dep = self.deployment
-        nodes, motes = dep.nodes, dep.motes
+        """Settle the deployment (:meth:`Deployment.settle`), but not
+        before the plan's last bounded fault has fired, so a restart
+        scheduled after completion still gets exercised."""
         last_fault_ms = self.controller.last_fault_ms \
             if self.controller else 0.0
-
-        def settled():
-            if dep.sim.now < last_fault_ms:
-                return False
-            return all(
-                nodes[n].has_full_image for n in nodes if motes[n].alive
-            )
-
-        done = dep.sim.run_until(settled, check_every=SECOND,
-                                 deadline=deadline_ms)
-        self.deadline_hit = not done
+        self.deadline_hit = not self.deployment.settle(deadline_ms,
+                                                       last_fault_ms)
 
     def close(self, install=False):
         """End the run and tally the survivors.
@@ -244,12 +203,13 @@ def run_chaos(plan, rows=6, cols=6, protocol="mnp", n_segments=2,
               segment_packets=32, seed=0, deadline_min=240, config=None,
               stall_ms=10 * MINUTE):
     """One dissemination run under the given fault plan, settled (see
-    :meth:`FaultedRun.settle`) and closed without installing.  Returns
-    the closed :class:`FaultedRun`.
+    :meth:`FaultedRun.settle`) and closed without installing.  The MNP
+    family runs ``config`` (default :data:`FAULTED_CONFIG`).  Returns the
+    closed :class:`FaultedRun`.
     """
     run = FaultedRun(
         grid_deployment(rows, cols, protocol, n_segments, segment_packets,
-                        seed, config),
+                        seed, FAULTED_CONFIG if config is None else config),
         plan, stall_ms=stall_ms,
     )
     run.settle(deadline_min * MINUTE)

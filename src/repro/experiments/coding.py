@@ -20,7 +20,7 @@ real radio.
 """
 
 from repro.core.config import MNPConfig
-from repro.experiments.common import Deployment
+from repro.experiments.common import MNP_FAMILY, Deployment
 from repro.net.loss_models import PerfectLossModel, UniformLossModel
 from repro.net.topology import Topology
 from repro.radio.propagation import PropagationModel
@@ -63,7 +63,7 @@ def run_coding_cell(protocol, loss_pct, seed, rows=5, cols=5,
     loss_model = PerfectLossModel() if loss_pct == 0 \
         else UniformLossModel(loss_to_ber(loss_pct))
     protocol_config = None
-    if protocol in ("mnp", "coded_mnp"):
+    if protocol in MNP_FAMILY:
         protocol_config = MNPConfig(**config) if config else MNPConfig()
     deployment = Deployment(
         topo, image=image, protocol=protocol,

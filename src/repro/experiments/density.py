@@ -10,7 +10,7 @@ spacings.
 """
 
 from repro.core.segments import CodeImage
-from repro.experiments.common import Deployment
+from repro.experiments.common import RANGE_FT, Deployment
 from repro.metrics.reports import format_table
 from repro.net.connectivity import hop_counts
 from repro.net.loss_models import EmpiricalLossModel
@@ -18,17 +18,11 @@ from repro.net.topology import Topology
 from repro.radio.propagation import PropagationModel
 from repro.sim.kernel import MINUTE
 
-RANGE_FT = 25.0
-
 
 class DensityPoint:
-    """One (protocol, spacing) measurement."""
+    """One (protocol, spacing) measurement, from a runner metrics dict."""
 
-    def __init__(self, protocol, spacing_ft, run, topo):
-        self._init_from_metrics(_point_metrics(protocol, spacing_ft,
-                                               run, topo))
-
-    def _init_from_metrics(self, metrics):
+    def __init__(self, metrics):
         self.protocol = metrics["protocol"]
         self.spacing_ft = metrics["spacing_ft"]
         self.coverage = metrics["coverage"]
@@ -38,51 +32,35 @@ class DensityPoint:
         self.max_hops = metrics["max_hops"]
         self.mean_neighbors = metrics["mean_neighbors"]
 
-    @classmethod
-    def from_metrics(cls, metrics):
-        """Build a point from a runner metrics dict (no live run needed)."""
-        point = cls.__new__(cls)
-        point._init_from_metrics(metrics)
-        return point
 
-
-def _point_metrics(protocol, spacing_ft, run, topo):
-    """Reduce one density run to its JSON-ready point metrics."""
-    metrics = run.summary_metrics()
-    hops = hop_counts(topo, RANGE_FT, run.deployment.base_id)
+def density_experiment(spec):
+    """Runner executor for one (protocol, spacing) density point: one
+    grid run at ``spacing_ft``, reduced to its JSON-ready point metrics."""
+    ov = spec.overrides
+    spacing_ft = ov["spacing_ft"]
+    seed = spec.seed
+    topo = Topology.grid(ov.get("rows", 6), ov.get("cols", 6), spacing_ft)
+    image = CodeImage.random(1, n_segments=ov.get("n_segments", 2),
+                             segment_packets=32, seed=seed)
+    dep = Deployment(
+        topo, image=image, protocol=spec.protocol, seed=seed,
+        propagation=PropagationModel(RANGE_FT, 3.0),
+        loss_model=EmpiricalLossModel(seed=seed),
+    )
+    metrics = dep.run_to_completion(
+        deadline_ms=4 * 60 * MINUTE).summary_metrics()
+    hops = hop_counts(topo, RANGE_FT, dep.base_id)
     index = topo.grid_index(RANGE_FT)
     neighborhood = [
         len(index.nodes_within(n, RANGE_FT)) for n in topo.node_ids()
     ]
     metrics.update({
-        "protocol": protocol,
+        "protocol": spec.protocol,
         "spacing_ft": spacing_ft,
         "max_hops": max(hops.values()) if hops else 0,
         "mean_neighbors": sum(neighborhood) / len(neighborhood),
     })
     return metrics
-
-
-def _run_density_point(protocol, spacing_ft, rows, cols, n_segments, seed):
-    topo = Topology.grid(rows, cols, spacing_ft)
-    image = CodeImage.random(1, n_segments=n_segments,
-                             segment_packets=32, seed=seed)
-    dep = Deployment(
-        topo, image=image, protocol=protocol, seed=seed,
-        propagation=PropagationModel(RANGE_FT, 3.0),
-        loss_model=EmpiricalLossModel(seed=seed),
-    )
-    run = dep.run_to_completion(deadline_ms=4 * 60 * MINUTE)
-    return _point_metrics(protocol, spacing_ft, run, topo)
-
-
-def density_experiment(spec):
-    """Runner executor for one (protocol, spacing) density point."""
-    ov = spec.overrides
-    return _run_density_point(
-        spec.protocol, ov["spacing_ft"], ov.get("rows", 6),
-        ov.get("cols", 6), ov.get("n_segments", 2), spec.seed,
-    )
 
 
 def run_density_sweep(spacings=(6.0, 10.0, 16.0), protocol="mnp",
@@ -103,7 +81,7 @@ def run_density_sweep(spacings=(6.0, 10.0, 16.0), protocol="mnp",
     ]
     per_run = Runner(workers=workers, cache_dir=cache_dir,
                      progress=progress).run(specs)
-    return [DensityPoint.from_metrics(metrics) for metrics in per_run]
+    return [DensityPoint(metrics) for metrics in per_run]
 
 
 def density_report(points):

@@ -10,7 +10,7 @@
 from repro.core.config import MNPConfig
 from repro.core.delta import delta_image, reconstruct_image
 from repro.core.segments import CodeImage
-from repro.experiments.common import Deployment
+from repro.experiments.common import Deployment, grid_deployment
 from repro.metrics.reports import format_table
 from repro.net.loss_models import EmpiricalLossModel
 from repro.net.topology import Topology
@@ -131,15 +131,9 @@ def coexistence(reprogram_with=None, rows=6, cols=6, n_segments=2,
                  EndDownload, Query, RepairRequest)
     deluge_types = (Summary, PageRequest, DataPacket)
 
-    topo = Topology.grid(rows, cols, 10.0)
-    image = CodeImage.random(1, n_segments=n_segments, segment_packets=64,
-                             seed=seed)
-    dep = Deployment(
-        topo, image=image, protocol=reprogram_with or "mnp", seed=seed,
-        propagation=PropagationModel(25.0, 3.0),
-        loss_model=EmpiricalLossModel(seed=seed),
-    )
-    sink_id = topo.corner_node("top-right")  # opposite the base station
+    dep = grid_deployment(rows, cols, reprogram_with or "mnp", n_segments,
+                          64, seed)
+    sink_id = dep.topology.corner_node("top-right")  # opposite the base
     apps = {}
     for node_id, mote in dep.motes.items():
         mux = ProtocolMux(mote)
@@ -166,10 +160,7 @@ def coexistence(reprogram_with=None, rows=6, cols=6, n_segments=2,
         completion_s = None
         coverage = None
     else:
-        dep.sim.run_until(
-            lambda: all(n.has_full_image for n in dep.nodes.values()),
-            check_every=SECOND, deadline=60 * MINUTE,
-        )
+        dep.settle(60 * MINUTE)
         window = dep.sim.now
         completion_s = window / SECOND
         coverage = sum(
@@ -252,14 +243,7 @@ def initial_sleep_schedule(rows=10, cols=10, n_segments=2, duty=0.5,
     from repro.core.states import MNPState
 
     def run(schedule):
-        topo = Topology.grid(rows, cols, 10.0)
-        image = CodeImage.random(1, n_segments=n_segments,
-                                 segment_packets=64, seed=seed)
-        dep = Deployment(
-            topo, image=image, protocol="mnp", seed=seed,
-            propagation=PropagationModel(25.0, 3.0),
-            loss_model=EmpiricalLossModel(seed=seed),
-        )
+        dep = grid_deployment(rows, cols, "mnp", n_segments, 64, seed)
         if schedule:
             def tick(off):
                 for node in dep.nodes.values():

@@ -23,6 +23,7 @@ The observations to reproduce:
 from repro.core.config import MNPConfig
 from repro.core.segments import CodeImage
 from repro.experiments.common import Deployment
+from repro.hardware.mote import MoteConfig
 from repro.metrics.reports import format_grid, format_parent_arrows
 from repro.net.loss_models import EmpiricalLossModel
 from repro.net.topology import Topology
@@ -83,16 +84,11 @@ def run_mote_grid(rows, cols, power_level, environment="outdoor",
                   deadline_min=240):
     """Run the basic (non-pipelined) MNP on a mote grid, as in §4.1.
 
-    ``environment`` selects the propagation preset ('indoor' classroom or
-    'outdoor' grass field); the base station sits at the upper-left
+    ``environment`` selects the propagation preset (see
+    :func:`propagation_for`); the base station sits at the upper-left
     corner, the paper's convention for these figures.
     """
-    if environment == "indoor":
-        propagation = PropagationModel.indoor(40.0)
-    elif environment == "outdoor":
-        propagation = PropagationModel.outdoor(60.0)
-    else:
-        raise ValueError(f"unknown environment {environment!r}")
+    propagation = propagation_for(environment)
     topo = Topology.grid(rows, cols, spacing_ft)
     image = CodeImage.from_bytes(
         1, bytes((i * 31) % 251 for i in range(program_packets * 23)),
@@ -109,17 +105,21 @@ def run_mote_grid(rows, cols, power_level, environment="outdoor",
         base_id=topo.corner_node("bottom-left"), seed=seed,
         propagation=propagation,
         loss_model=EmpiricalLossModel(seed=seed, sigma=0.3),
-        mote_config=_mote_config(power_level),
+        mote_config=MoteConfig(power_level=power_level),
     )
     run = dep.run_to_completion(deadline_ms=deadline_min * MINUTE)
     return MoteGridResult(f"{rows}x{cols} {environment} grid", power_level,
                           run, dep)
 
 
-def _mote_config(power_level):
-    from repro.hardware.mote import MoteConfig
-
-    return MoteConfig(power_level=power_level)
+def propagation_for(environment):
+    """The propagation preset of a mote grid: the 'indoor' classroom or
+    the 'outdoor' grass field."""
+    if environment == "indoor":
+        return PropagationModel.indoor(40.0)
+    if environment == "outdoor":
+        return PropagationModel.outdoor(60.0)
+    raise ValueError(f"unknown environment {environment!r}")
 
 
 def fig5_indoor(seed=0, program_packets=256):

@@ -5,30 +5,21 @@ for a fixed grid, step the TinyOS power level from barely-connecting to
 full and measure hops, senders, completion time, and energy.  The §6
 observation that power is a tuning knob ("we can adjust the power level
 used in the advertisement message...") makes the shape of this curve the
-protocol designer's planning tool.
+protocol designer's planning tool.  Each point is one Figs. 5-7 run
+(:func:`repro.experiments.mote_grids.run_mote_grid`).
 """
 
-from repro.core.config import MNPConfig
-from repro.core.segments import CodeImage
-from repro.experiments.common import Deployment
-from repro.hardware.mote import MoteConfig
+from repro.experiments.mote_grids import propagation_for, run_mote_grid
 from repro.metrics.reports import format_table, sparkline
 from repro.net.connectivity import hop_counts, is_connected, \
     min_connecting_power
-from repro.net.loss_models import EmpiricalLossModel
 from repro.net.topology import Topology
-from repro.radio.propagation import PropagationModel
-from repro.sim.kernel import MINUTE
 
 
 class PowerPoint:
-    """One power level's measurements."""
+    """One power level's measurements, from a runner metrics dict."""
 
-    def __init__(self, power_level, run, topo, propagation):
-        self._init_from_metrics(
-            _point_metrics(power_level, run, topo, propagation))
-
-    def _init_from_metrics(self, metrics):
+    def __init__(self, metrics):
         self.power_level = metrics["power_level"]
         self.range_ft = metrics["range_ft"]
         self.coverage = metrics["coverage"]
@@ -37,60 +28,29 @@ class PowerPoint:
         self.max_hops = metrics["max_hops"]
         self.mean_energy_nah = metrics["mean_energy_nah"]
 
-    @classmethod
-    def from_metrics(cls, metrics):
-        """Build a point from a runner metrics dict (no live run needed)."""
-        point = cls.__new__(cls)
-        point._init_from_metrics(metrics)
-        return point
-
-
-def _point_metrics(power_level, run, topo, propagation):
-    """Reduce one power-level run to its JSON-ready point metrics."""
-    metrics = run.summary_metrics()
-    range_ft = propagation.range_ft(power_level)
-    hops = hop_counts(topo, range_ft, run.deployment.base_id)
-    metrics.update({
-        "power_level": power_level,
-        "range_ft": range_ft,
-        "max_hops": max(hops.values()) if len(hops) == len(topo) else None,
-    })
-    return metrics
-
-
-def _propagation_for(environment):
-    if environment == "indoor":
-        return PropagationModel.indoor(40.0)
-    return PropagationModel.outdoor(60.0)
-
-
-def _run_power_point(level, rows, cols, spacing_ft, environment,
-                     program_packets, seed):
-    propagation = _propagation_for(environment)
-    topo = Topology.grid(rows, cols, spacing_ft)
-    image = CodeImage.from_bytes(
-        1, bytes((i * 31) % 251 for i in range(program_packets * 23)),
-        segment_packets=128,
-    )
-    config = MNPConfig(pipelining=False, query_update=True)
-    dep = Deployment(
-        topo, image=image, protocol="mnp", protocol_config=config,
-        seed=seed, propagation=propagation,
-        loss_model=EmpiricalLossModel(seed=seed, sigma=0.3),
-        mote_config=MoteConfig(power_level=level),
-    )
-    run = dep.run_to_completion(deadline_ms=4 * 60 * MINUTE)
-    return _point_metrics(level, run, topo, propagation)
-
 
 def power_experiment(spec):
-    """Runner executor for one power-level point."""
+    """Runner executor for one power-level point: one mote-grid run,
+    reduced to its JSON-ready point metrics."""
     ov = spec.overrides
-    return _run_power_point(
-        ov["level"], ov.get("rows", 5), ov.get("cols", 5),
-        ov.get("spacing_ft", 4.0), ov.get("environment", "indoor"),
-        ov.get("program_packets", 128), spec.seed,
+    level = ov["level"]
+    grid = run_mote_grid(
+        ov.get("rows", 5), ov.get("cols", 5), level,
+        environment=ov.get("environment", "indoor"),
+        spacing_ft=ov.get("spacing_ft", 4.0),
+        program_packets=ov.get("program_packets", 128), seed=spec.seed,
     )
+    dep = grid.deployment
+    range_ft = dep.propagation.range_ft(level)
+    hops = hop_counts(dep.topology, range_ft, dep.base_id)
+    metrics = grid.run.summary_metrics()
+    metrics.update({
+        "power_level": level,
+        "range_ft": range_ft,
+        "max_hops": (max(hops.values())
+                     if len(hops) == len(dep.topology) else None),
+    })
+    return metrics
 
 
 def run_power_sweep(levels=None, rows=5, cols=5, spacing_ft=4.0,
@@ -105,7 +65,7 @@ def run_power_sweep(levels=None, rows=5, cols=5, spacing_ft=4.0,
     """
     from repro.runner import RunSpec, Runner
 
-    propagation = _propagation_for(environment)
+    propagation = propagation_for(environment)
     topo = Topology.grid(rows, cols, spacing_ft)
     if levels is None:
         floor = min_connecting_power(topo, propagation) or 1
@@ -121,7 +81,7 @@ def run_power_sweep(levels=None, rows=5, cols=5, spacing_ft=4.0,
     ]
     per_run = Runner(workers=workers, cache_dir=cache_dir,
                      progress=progress).run(specs)
-    return [PowerPoint.from_metrics(metrics) for metrics in per_run]
+    return [PowerPoint(metrics) for metrics in per_run]
 
 
 def power_report(points):

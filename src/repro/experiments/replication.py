@@ -41,17 +41,6 @@ class MetricStats:
                 f"[{self.min:.1f}, {self.max:.1f}] n={self.n}>")
 
 
-def replicate(experiment, seeds):
-    """Run ``experiment(seed) -> dict[str, number]`` for each seed and
-    aggregate each metric into a :class:`MetricStats`."""
-    per_seed = [experiment(seed) for seed in seeds]
-    keys = sorted({k for result in per_seed for k in result})
-    return {
-        key: MetricStats(key, [result.get(key) for result in per_seed])
-        for key in keys
-    }
-
-
 #: The headline metrics replicated comparisons aggregate by default.
 HEADLINE_METRICS = ("completion_s", "art_s", "collisions", "coverage")
 
@@ -94,28 +83,6 @@ def replicate_specs(specs, workers=0, cache_dir=None, progress=None,
         key: MetricStats(key, [result.get(key) for result in per_run])
         for key in keys
     }
-
-
-def mnp_run_metrics(rows=6, cols=6, n_segments=2, segment_packets=32):
-    """An ``experiment`` factory for :func:`replicate`: one standard MNP
-    grid run, reduced to its headline numbers."""
-    from repro.experiments.active_radio import run_simulation_grid
-    from repro.sim.kernel import SECOND
-
-    def experiment(seed):
-        run = run_simulation_grid(rows=rows, cols=cols,
-                                  n_segments=n_segments,
-                                  segment_packets=segment_packets,
-                                  seed=seed)
-        return {
-            "completion_s": run.completion_time_ms / SECOND
-            if run.completion_time_ms else None,
-            "art_s": run.average_active_radio_s(),
-            "collisions": run.collector.collisions,
-            "coverage": run.coverage,
-        }
-
-    return experiment
 
 
 def paired_protocol_wins(metric_a, metric_b):

@@ -13,31 +13,11 @@ the protocol robust to exactly two perturbations a real deployment sees:
 """
 
 from repro.core.config import MNPConfig
-from repro.core.segments import CodeImage
-from repro.experiments.common import Deployment
-from repro.net.loss_models import EmpiricalLossModel
-from repro.net.topology import Topology
-from repro.radio.propagation import PropagationModel
+from repro.experiments.chaos import FaultedRun
+from repro.experiments.common import RANGE_FT, grid_deployment
+from repro.faults import FaultPlan
 from repro.sim.kernel import MINUTE, SECOND
 from repro.sim.rng import derive_rng
-
-RANGE_FT = 25.0
-
-
-class ChurnOutcome:
-    """Result of a churn run."""
-
-    def __init__(self, killed, survivors_complete, survivors_total,
-                 completion_s, images_intact):
-        self.killed = killed
-        self.survivors_complete = survivors_complete
-        self.survivors_total = survivors_total
-        self.completion_s = completion_s
-        self.images_intact = images_intact
-
-    @property
-    def survivor_coverage(self):
-        return self.survivors_complete / self.survivors_total
 
 
 def run_churn(rows=6, cols=6, kill_fraction=0.15, kill_after_ms=None,
@@ -45,46 +25,21 @@ def run_churn(rows=6, cols=6, kill_fraction=0.15, kill_after_ms=None,
     """Kill a random subset of non-base nodes mid-run.
 
     Victims are chosen so the surviving network stays connected from the
-    base station (the paper's §2 precondition); they die at
-    ``kill_after_ms`` (default: one-quarter of the deadline horizon into
-    the run).
+    base station (the paper's §2 precondition); they crash at
+    ``kill_after_ms`` (default: 20 s into the run).  The run settles
+    through :class:`~repro.experiments.chaos.FaultedRun`, so it lasts at
+    least until the kill; returns the closed run (victims in
+    ``controller.crashed_nodes``).
     """
-    topo = Topology.grid(rows, cols, 10.0)
-    image = CodeImage.random(1, n_segments=n_segments, segment_packets=32,
-                             seed=seed)
-    dep = Deployment(
-        topo, image=image, protocol="mnp",
-        protocol_config=MNPConfig(query_update=True), seed=seed,
-        propagation=PropagationModel(RANGE_FT, 3.0),
-        loss_model=EmpiricalLossModel(seed=seed),
-    )
-    rng = derive_rng(seed, "churn")
-    victims = _pick_victims(topo, dep.base_id, kill_fraction, rng)
+    dep = grid_deployment(rows, cols, "mnp", n_segments, 32, seed,
+                          MNPConfig(query_update=True))
+    victims = _pick_victims(dep.topology, dep.base_id, kill_fraction,
+                            derive_rng(seed, "churn"))
     kill_at = kill_after_ms if kill_after_ms is not None else 20 * SECOND
-
-    def kill():
-        for victim in victims:
-            dep.motes[victim].kill()
-
-    dep.sim.schedule(kill_at, kill)
-    dep.start()
-    survivors = [n for n in topo.node_ids() if n not in victims]
-    dep.sim.run_until(
-        lambda: all(dep.nodes[n].has_full_image for n in survivors),
-        check_every=SECOND, deadline=deadline_min * MINUTE,
-    )
-    complete = [n for n in survivors if dep.nodes[n].has_full_image]
-    expected = image.to_bytes()
-    intact = all(
-        dep.nodes[n].assemble_image() == expected for n in complete
-    )
-    return ChurnOutcome(
-        killed=sorted(victims),
-        survivors_complete=len(complete),
-        survivors_total=len(survivors),
-        completion_s=dep.sim.now / SECOND,
-        images_intact=intact,
-    )
+    run = FaultedRun(dep, FaultPlan().crash(kill_at, nodes=victims))
+    run.settle(deadline_min * MINUTE)
+    run.close()
+    return run
 
 
 def _pick_victims(topology, base_id, fraction, rng):
@@ -141,20 +96,13 @@ def run_late_joiner(rows=4, cols=4, join_after_min=3.0, n_segments=1,
     ``catch_up_ms`` is how long the latecomer needed (None if it never
     completed).
     """
-    topo = Topology.grid(rows, cols, 10.0)
-    image = CodeImage.random(1, n_segments=n_segments, segment_packets=32,
-                             seed=seed)
-    dep = Deployment(
-        topo, image=image, protocol="mnp",
-        protocol_config=MNPConfig(query_update=query_update), seed=seed,
-        propagation=PropagationModel(RANGE_FT, 3.0),
-        loss_model=EmpiricalLossModel(seed=seed),
-    )
-    late = topo.center_node()
+    dep = grid_deployment(rows, cols, "mnp", n_segments, 32, seed,
+                          MNPConfig(query_update=query_update))
+    late = dep.topology.center_node()
     for node_id, node in dep.nodes.items():
         if node_id != late:
             node.start()
-    others = [n for n in topo.node_ids() if n != late]
+    others = [n for n in dep.nodes if n != late]
     done = dep.sim.run_until(
         lambda: all(dep.nodes[n].has_full_image for n in others),
         check_every=SECOND, deadline=join_after_min * MINUTE,

@@ -14,24 +14,14 @@ from repro.metrics.reports import format_table
 
 
 class SweepPoint:
-    """Measurements for one program size."""
+    """Measurements for one program size, from a runner metrics dict."""
 
-    def __init__(self, n_segments, run):
-        self._init_from_metrics(n_segments, run.summary_metrics())
-
-    def _init_from_metrics(self, n_segments, metrics):
+    def __init__(self, n_segments, metrics):
         self.n_segments = n_segments
         self.size_kb = metrics["image_bytes"] / 1024.0
         self.completion_s = metrics["completion_s"]
         self.art_s = metrics["art_s"]
         self.art_no_init_s = metrics["art_no_init_s"]
-
-    @classmethod
-    def from_metrics(cls, n_segments, metrics):
-        """Build a point from a runner metrics dict (no live run needed)."""
-        point = cls.__new__(cls)
-        point._init_from_metrics(n_segments, metrics)
-        return point
 
     @property
     def art_fraction(self):
@@ -60,7 +50,7 @@ def run_sweep(sizes=None, seed=0, config=None, workers=0, cache_dir=None,
     per_run = Runner(workers=workers, cache_dir=cache_dir,
                      progress=progress).run(specs)
     return [
-        SweepPoint.from_metrics(n_segments, metrics)
+        SweepPoint(n_segments, metrics)
         for n_segments, metrics in zip(sizes, per_run)
     ]
 

@@ -4,9 +4,9 @@ import pytest
 
 from repro.experiments.replication import (
     MetricStats,
-    mnp_run_metrics,
     paired_protocol_wins,
-    replicate,
+    replicate_specs,
+    replication_specs,
     statistics_report,
 )
 
@@ -32,13 +32,6 @@ def test_metric_stats_empty_and_single():
     assert "no data" in repr(MetricStats("x", []))
 
 
-def test_replicate_aggregates_keys():
-    results = replicate(lambda seed: {"a": seed, "b": seed * 2},
-                        seeds=[1, 2, 3])
-    assert results["a"].mean == 2.0
-    assert results["b"].mean == 4.0
-
-
 def test_paired_wins():
     a = MetricStats("a", [1.0, 2.0, 3.0])
     b = MetricStats("b", [2.0, 1.0, 4.0])
@@ -47,11 +40,9 @@ def test_paired_wins():
                                 MetricStats("b", [])) is None
 
 
-def test_mnp_run_metrics_experiment(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "smoke")
-    experiment = mnp_run_metrics(rows=3, cols=3, n_segments=1,
-                                 segment_packets=8)
-    stats = replicate(experiment, seeds=[1, 2])
+def test_mnp_run_metrics_experiment():
+    stats = replicate_specs(replication_specs(
+        [1, 2], rows=3, cols=3, n_segments=1, segment_packets=8))
     assert stats["coverage"].mean == 1.0
     assert stats["completion_s"].n == 2
     text = statistics_report({"mnp": stats})

@@ -1,5 +1,5 @@
-"""Remaining runner/metric corners: settle windows, savings edge cases,
-and the collector's baseline-protocol event paths."""
+"""Remaining runner/metric corners: savings edge cases and the
+collector's baseline-protocol event paths."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.experiments.common import Deployment, RunResult
 from repro.net.loss_models import PerfectLossModel
 from repro.net.topology import Topology
 from repro.radio.propagation import PropagationModel
-from repro.sim.kernel import MINUTE, SECOND
+from repro.sim.kernel import MINUTE
 
 
 def deployment(**kwargs):
@@ -18,14 +18,6 @@ def deployment(**kwargs):
         loss_model=PerfectLossModel(),
         propagation=PropagationModel.outdoor(25.0), **kwargs,
     ), image
-
-
-def test_settle_window_extends_simulation():
-    dep, _ = deployment()
-    res = dep.run_to_completion(deadline_ms=30 * MINUTE,
-                                settle_ms=20 * SECOND)
-    assert res.all_complete
-    assert dep.sim.now >= res.completion_time_ms + 20 * SECOND - SECOND
 
 
 def test_idle_listening_savings_none_when_incomplete():
