@@ -23,6 +23,8 @@ All coefficient draws come from a caller-supplied ``random.Random``
 global randomness, so coded runs stay pure functions of (spec, seed).
 """
 
+from itertools import compress
+
 from repro.core.bitvector import BitVector
 from repro.core.segments import PACKET_PAYLOAD_BYTES
 
@@ -100,6 +102,12 @@ def _product_tables():
 # ---------------------------------------------------------------------------
 
 
+#: Mersenne Twister words drawn per refill of a coefficient pool.
+_POOL_WORDS = 256
+#: ``_ACCEPT[b]`` is 1 when bit 0 of ``b`` is clear.
+_ACCEPT = bytes(1 - (b & 1) for b in range(256))
+
+
 class _GF256:
     """GF(2^8): byte coefficients, whole-row product tables."""
 
@@ -107,8 +115,32 @@ class _GF256:
     table = _product_tables()
 
     @staticmethod
-    def draw_coeffs(n, rng):
-        return tuple(rng.randrange(256) for _ in range(n))
+    def coeff_source(rng):
+        """``draw(n)``: the next ``n`` coefficients from ``rng``.
+
+        The stream equals one ``rng.randrange(256)`` per coefficient.
+        That call is ``getrandbits(9)`` retried while the result is
+        >= 256, and each try takes the top 9 bits of one 32-bit Mersenne
+        Twister word: the try is accepted when the word's top bit is 0,
+        and its value is then ``word >> 23``.  ``getrandbits(32 * k)``
+        returns the next ``k`` words in order, the first in the low bits,
+        so a pool refill shifts such a block right by 23 bits once: in
+        each word's 4-byte lane the first byte is then its value and bit
+        0 of the second its top bit.  Slicing, ``translate`` and
+        ``compress`` keep the accepted values in C.
+        """
+        pool = b""
+
+        def draw(n):
+            nonlocal pool
+            while len(pool) < n:
+                lanes = (rng.getrandbits(32 * _POOL_WORDS) >> 23).to_bytes(
+                    4 * _POOL_WORDS, "little")
+                pool += bytes(compress(lanes[0::4],
+                                       lanes[1::4].translate(_ACCEPT)))
+            taken, pool = pool[:n], pool[n:]
+            return tuple(taken)
+        return draw
 
     inv = staticmethod(gf256_inv)
 
@@ -125,9 +157,12 @@ class _GF2:
     table = (bytes(256), bytes(range(256)))
 
     @staticmethod
-    def draw_coeffs(n, rng):
-        bits = rng.getrandbits(n)
-        return tuple((bits >> i) & 1 for i in range(n))
+    def coeff_source(rng):
+        """``draw(n)``: the next ``n`` coefficients from ``rng``."""
+        def draw(n):
+            bits = rng.getrandbits(n)
+            return tuple((bits >> i) & 1 for i in range(n))
+        return draw
 
     @staticmethod
     def inv(a):
@@ -205,6 +240,8 @@ class GenerationEncoder:
             raise ValueError("cannot encode an empty generation")
         self.field = _field(field)
         self.rng = rng
+        # The encoder owns ``rng``: the GF(2^8) source draws ahead of use.
+        self._draw = self.field.coeff_source(rng)
         self.n = len(packets)
         self.payload_len = payload_len
         self.tail_len = len(packets[-1])
@@ -224,7 +261,7 @@ class GenerationEncoder:
         packet is a genuine (if possibly non-innovative) combination.
         """
         while True:
-            coeffs = self.field.draw_coeffs(self.n, self.rng)
+            coeffs = self._draw(self.n)
             if any(coeffs):
                 break
         table = self.field.table
@@ -285,10 +322,13 @@ class GenerationDecoder:
             return False
         table = self.field.table
         # Reduce against every existing pivot.  Read as a little-endian
-        # integer, a row is subtracted (XORed) in one operation.
+        # integer, a row is subtracted (XORed) in one operation.  The
+        # pivot rows are fully reduced, so subtracting one never changes
+        # the row's coefficient in another pivot column: each factor is
+        # the incoming coefficient itself.
         acc = int.from_bytes(bytes(coeffs) + payload, "little")
         for col, p_row in pivots.items():
-            c = (acc >> (8 * col)) & 0xFF
+            c = coeffs[col]
             if c:
                 acc ^= int.from_bytes(p_row.translate(table[c]), "little")
         # This row's pivot is its lowest nonzero coefficient byte.

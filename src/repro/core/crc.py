@@ -3,32 +3,18 @@
 The paper's accuracy requirement (§2) is that "the exact program image is
 received by sensor nodes"; TinyOS-era network programmers verified the
 staged image with a 16-bit CRC before handing it to the bootloader.  We
-implement CRC-16/CCITT-FALSE (the variant in the TinyOS toolchain) in
-pure Python with a precomputed table.
+implement CRC-16/CCITT-FALSE (the variant in the TinyOS toolchain) with
+:func:`binascii.crc_hqx`, the standard library's C implementation of the
+same polynomial (0x1021, unreflected, no final XOR); the CRC-16/CCITT-FALSE
+variant is its 0xFFFF starting value.
 """
 
-_POLY = 0x1021
-
-
-def _build_table():
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ _POLY) if crc & 0x8000 else (crc << 1)
-        table.append(crc & 0xFFFF)
-    return table
-
-
-_TABLE = _build_table()
+import binascii
 
 
 def crc16_ccitt(data, initial=0xFFFF):
     """CRC-16/CCITT-FALSE of ``data`` (bytes-like)."""
-    crc = initial
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _TABLE[((crc >> 8) ^ byte) & 0xFF]
-    return crc
+    return binascii.crc_hqx(data, initial)
 
 
 def crc16_incremental(chunks, initial=0xFFFF):

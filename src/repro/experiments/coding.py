@@ -20,7 +20,8 @@ real radio.
 """
 
 from repro.core.config import MNPConfig
-from repro.experiments.common import MNP_FAMILY, Deployment
+from repro.experiments.common import MNP_FAMILY, RANGE_FT, SPACING_FT, \
+    Deployment
 from repro.net.loss_models import PerfectLossModel, UniformLossModel
 from repro.net.topology import Topology
 from repro.radio.propagation import PropagationModel
@@ -51,7 +52,7 @@ def loss_to_ber(loss_pct, frame_bytes=REF_FRAME_BYTES):
 
 
 def run_coding_cell(protocol, loss_pct, seed, rows=5, cols=5,
-                    spacing_ft=10.0, n_segments=2, segment_packets=24,
+                    spacing_ft=SPACING_FT, n_segments=2, segment_packets=24,
                     deadline_min=480.0, config=None):
     """One cell of the sweep; returns ``summary_metrics()`` plus the
     cell coordinates."""
@@ -68,7 +69,7 @@ def run_coding_cell(protocol, loss_pct, seed, rows=5, cols=5,
     deployment = Deployment(
         topo, image=image, protocol=protocol,
         protocol_config=protocol_config, seed=seed,
-        propagation=PropagationModel(25.0, 3.0),
+        propagation=PropagationModel(RANGE_FT, 3.0),
         loss_model=loss_model,
     )
     result = deployment.run_to_completion(deadline_ms=deadline_min * MINUTE)
@@ -93,7 +94,7 @@ def coding_experiment(spec):
         spec.seed,
         rows=ov.get("rows", 5),
         cols=ov.get("cols", 5),
-        spacing_ft=ov.get("spacing_ft", 10.0),
+        spacing_ft=ov.get("spacing_ft", SPACING_FT),
         n_segments=ov.get("n_segments", 2),
         segment_packets=ov.get("segment_packets", 24),
         deadline_min=ov.get("deadline_min", 480.0),

@@ -10,7 +10,8 @@
 from repro.core.config import MNPConfig
 from repro.core.delta import delta_image, reconstruct_image
 from repro.core.segments import CodeImage
-from repro.experiments.common import Deployment, grid_deployment
+from repro.experiments.common import RANGE_FT, SPACING_FT, Deployment, \
+    grid_deployment
 from repro.metrics.reports import format_table
 from repro.net.loss_models import EmpiricalLossModel
 from repro.net.topology import Topology
@@ -36,11 +37,11 @@ class UpdateOutcome:
 
 
 def _run_update(image, rows, cols, seed):
-    topo = Topology.grid(rows, cols, 10.0)
+    topo = Topology.grid(rows, cols, SPACING_FT)
     dep = Deployment(
         topo, image=image, protocol="mnp",
         protocol_config=MNPConfig(query_update=True), seed=seed,
-        propagation=PropagationModel(25.0, 3.0),
+        propagation=PropagationModel(RANGE_FT, 3.0),
         loss_model=EmpiricalLossModel(seed=seed),
     )
     run = dep.run_to_completion(deadline_ms=4 * 60 * MINUTE)
@@ -206,16 +207,15 @@ def mnp_over_tdma(rows=8, cols=8, n_segments=2, seed=0, slot_ms=30.0):
     from repro.hardware.mote import MoteConfig
     from repro.radio.tdma import TdmaMac, build_tdma_schedule
 
-    range_ft = 25.0
-    topo = Topology.grid(rows, cols, 10.0)
+    topo = Topology.grid(rows, cols, SPACING_FT)
     image = CodeImage.random(1, n_segments=n_segments, segment_packets=64,
                              seed=seed)
-    schedule = build_tdma_schedule(topo, range_ft, slot_ms=slot_ms)
+    schedule = build_tdma_schedule(topo, RANGE_FT, slot_ms=slot_ms)
 
     def run(mac_factory):
         dep = Deployment(
             topo, image=image, protocol="mnp", seed=seed,
-            propagation=PropagationModel(range_ft, 3.0),
+            propagation=PropagationModel(RANGE_FT, 3.0),
             loss_model=EmpiricalLossModel(seed=seed),
             mote_config=MoteConfig(mac_factory=mac_factory),
         )

@@ -37,8 +37,14 @@ closest-point-of-approach optimization of per-bit simulation):
   for differential tests);
 * per-directed-edge BER and per-``(edge, frame size)`` decode
   probabilities are cached when the loss model is static
-  (``is_time_varying`` is False); time-varying models take the uncached
-  path (both paths are bit-identical);
+  (``is_time_varying`` is False), the latter as one ``{dst: P(decode)}``
+  table per ``(src, range, frame size)`` that a frame fetches once;
+  time-varying models take the uncached path (both paths are
+  bit-identical);
+* an in-flight reception is recorded as the ``_Transmission`` itself
+  (``_receptions[dst][src]``), and a collision marks ``dst`` in that
+  transmission's ``corrupted`` set, so opening a reception builds no
+  object;
 * communication ranges are frozen per power level at first use, so the
   neighbor cache can never silently go stale; call
   :meth:`invalidate_neighbors` after reconfiguring propagation.
@@ -53,7 +59,7 @@ MICA2_BITRATE_KBPS = 19.2
 
 class _Transmission:
     __slots__ = ("src", "frame", "start", "end", "range_ft", "aborted",
-                 "receivers", "listeners")
+                 "receivers", "listeners", "corrupted")
 
     def __init__(self, src, frame, start, end, range_ft, listeners):
         self.src = src
@@ -69,14 +75,9 @@ class _Transmission:
         # never mutated).  Carrier counters are incremented for each entry
         # at start and released exactly once on finish or abort.
         self.listeners = listeners
-
-
-class _Reception:
-    __slots__ = ("transmission", "corrupted")
-
-    def __init__(self, transmission):
-        self.transmission = transmission
-        self.corrupted = False
+        # Receivers where this frame collided (a set, created at the
+        # first collision; most frames never collide).
+        self.corrupted = None
 
 
 class Channel:
@@ -101,14 +102,16 @@ class Channel:
         # Power level -> range_ft pinned at first use (stale-cache guard).
         self._frozen_range = {}
         self._active = {}  # src node id -> _Transmission
-        self._receptions = {}  # dst node id -> {src id: _Reception}
+        # dst node id -> {src id: the _Transmission being received there}
+        self._receptions = {}
         # node id -> number of foreign transmissions currently audible
         # there (pre-populated with zeros so the hot paths use plain
         # indexing).  This is what carrier_busy reads.
         self._carrier = {nid: 0 for nid in topology.node_ids()}
         # Static link budgets (see the loss_model property).
         self._ber_cache = {}  # (src, dst, range_ft) -> BER
-        self._decode_cache = {}  # (src, dst, range_ft, bytes) -> P(decode)
+        # (src, range_ft, bytes) -> {dst: P(decode)}
+        self._decode_cache = {}
         self.loss_model = loss_model
         # Per-frame facts (for metrics, figures and tests): one
         # ``(time, src, payload kind)`` per transmission started, aborted
@@ -294,12 +297,13 @@ class Channel:
         airtime = self.airtime_ms(frame)
         range_ft = self._range_for(radio.power_level)
         listeners = self.neighbors(src, radio.power_level)
-        tx = _Transmission(src, frame, self.sim.now, self.sim.now + airtime,
-                           range_ft, listeners)
+        now = self.sim.now
+        tx = _Transmission(src, frame, now, now + airtime, range_ft,
+                           listeners)
         self._active[src] = tx
         radio.tx_started()
         kind = type(frame.payload).__name__
-        self.tx_log.append((self.sim.now, src, kind))
+        self.tx_log.append((now, src, kind))
         tracer = self.sim.tracer
         if tracer.watches("radio.tx"):
             tracer.emit(
@@ -309,103 +313,97 @@ class Channel:
                 bytes=frame.on_air_bytes,
                 power=radio.power_level,
             )
-        self._open_receptions(tx)
-        self.sim.schedule(airtime, self._finish_transmission, tx, on_done)
-        return airtime
-
-    def _open_receptions(self, tx):
         # The carrier becomes audible at every in-range node; reception
         # additionally begins at the ones that are listening -- the loop
         # runs once per listener per frame.
-        src = tx.src
-        tracer = self.sim.tracer
         carrier = self._carrier
         radios = self._radios
         receptions = self._receptions
-        coll_watched = tracer.watches("channel.collision")
         receivers_append = tx.receivers.append
-        for dst in tx.listeners:
+        for dst in listeners:
             carrier[dst] += 1
             receiver = radios.get(dst)
             if receiver is None or not receiver.is_on or receiver.transmitting:
                 continue
             ongoing = receptions[dst]
-            reception = _Reception(tx)
             if ongoing:
-                # Overlap at this receiver corrupts everything in flight.
-                reception.corrupted = True
-                for other in ongoing.values():
-                    if not other.corrupted:
-                        other.corrupted = True
-                        self.collisions += 1
-                        if coll_watched:
-                            tracer.emit(
-                                "channel.collision",
-                                node=dst,
-                                src=other.transmission.src,
-                                other_src=src,
-                            )
-                self.collisions += 1
-                if coll_watched:
-                    tracer.emit(
-                        "channel.collision",
-                        node=dst,
-                        src=src,
-                        other_src=next(
-                            iter(ongoing.values())
-                        ).transmission.src,
-                    )
-            ongoing[src] = reception
+                self._collide(tx, dst, ongoing)
+            ongoing[src] = tx
             receivers_append(dst)
             receiver.rx_began()
+        self.sim.schedule(airtime, self._finish_transmission, tx, on_done)
+        return airtime
+
+    def _collide(self, tx, dst, ongoing):
+        """``tx`` starts at ``dst`` while ``ongoing`` frames are in flight
+        there: the overlap corrupts every one of them at ``dst``."""
+        tracer = self.sim.tracer
+        watched = tracer.watches("channel.collision")
+        for other in ongoing.values():
+            if other.corrupted is None:
+                other.corrupted = set()
+            elif dst in other.corrupted:
+                continue
+            other.corrupted.add(dst)
+            self.collisions += 1
+            if watched:
+                tracer.emit("channel.collision", node=dst, src=other.src,
+                            other_src=tx.src)
+        if tx.corrupted is None:
+            tx.corrupted = set()
+        tx.corrupted.add(dst)
+        self.collisions += 1
+        if watched:
+            tracer.emit("channel.collision", node=dst, src=tx.src,
+                        other_src=next(iter(ongoing.values())).src)
 
     def _finish_transmission(self, tx, on_done):
-        if not tx.aborted:
-            # An aborted transmission already left ``_active`` and
-            # released its carrier in radio_went_off; by now its sender
+        if tx.aborted:
+            # radio_went_off already took it out of ``_active``, released
+            # its carrier and closed its receptions; by now its sender
             # may be on the air with a newer frame, which must stay.
-            del self._active[tx.src]
-            self._release_carrier(tx)
-            self._radios[tx.src].tx_finished(self.sim.now - tx.start)
+            return
+        src = tx.src
+        del self._active[src]
+        self._release_carrier(tx)
+        radios = self._radios
+        radios[src].tx_finished(self.sim.now - tx.start)
         # Resolve receptions at the nodes this frame actually reached --
         # never scan the whole network's reception tables.  Per-frame
-        # invariants are hoisted out of the receiver loop.
-        src = tx.src
+        # invariants, the frame's decode probabilities among them, are
+        # hoisted out of the receiver loop.
         frame = tx.frame
         range_ft = tx.range_ft
-        aborted = tx.aborted
+        corrupted = tx.corrupted
         frame_bytes = frame.on_air_bytes
         receptions = self._receptions
-        radios = self._radios
-        decode_cache = self._decode_cache
         cache_enabled = self._link_cache_enabled
+        if cache_enabled:
+            key = (src, range_ft, frame_bytes)
+            decode_p = self._decode_cache.get(key)
+            if decode_p is None:
+                decode_p = self._decode_cache[key] = {}
         random = self._rng.random
         tracer = self.sim.tracer
-        emit = tracer.emit
         rx_watched = tracer.watches("radio.rx")
         for dst in tx.receivers:
             ongoing = receptions[dst]
-            reception = ongoing.get(src)
-            if reception is None or reception.transmission is not tx:
-                # Dropped earlier (receiver turned off) or replaced by a
-                # later frame from the same source; nothing to resolve.
+            if ongoing.get(src) is not tx:
+                # Dropped earlier (the receiver turned off mid-frame);
+                # nothing to resolve.
                 continue
             del ongoing[src]
             receiver = radios[dst]
             receiver.rx_ended()
-            if aborted:
-                continue
-            if reception.corrupted:
+            if corrupted is not None and dst in corrupted:
                 receiver.frames_corrupted += 1
                 continue
             if cache_enabled:
-                key = (src, dst, range_ft, frame_bytes)
-                success_p = decode_cache.get(key)
+                success_p = decode_p.get(dst)
                 if success_p is None:
-                    success_p = self._decode_probability(
+                    success_p = decode_p[dst] = self._decode_probability(
                         src, dst, range_ft, frame_bytes
                     )
-                    decode_cache[key] = success_p
                     self.link_cache_misses += 1
                 else:
                     self.link_cache_hits += 1
@@ -424,7 +422,7 @@ class Channel:
                         self.bit_error_losses += 1
                         continue
                 if rx_watched:
-                    emit(
+                    tracer.emit(
                         "radio.rx",
                         node=dst,
                         src=src,
@@ -435,7 +433,7 @@ class Channel:
             else:
                 receiver.frames_bit_errors += 1
                 self.bit_error_losses += 1
-        if on_done is not None and not aborted:
+        if on_done is not None:
             on_done()
 
     # ------------------------------------------------------------------
@@ -453,8 +451,7 @@ class Channel:
             # Receivers hear the carrier vanish; close their rx intervals now.
             for dst in tx.receivers:
                 ongoing = self._receptions[dst]
-                reception = ongoing.get(node)
-                if reception is not None and reception.transmission is tx:
+                if ongoing.get(node) is tx:
                     del ongoing[node]
                     self._radios[dst].rx_ended()
         # Frames this node was receiving are lost -- close the rx interval

@@ -49,7 +49,7 @@ class CsmaMac:
         self._queue = deque()
         self._pending_event = None
         self._busy = False  # a frame is in backoff or on the air
-        self._in_flight = False  # a frame has left the queue for the air
+        self._in_flight = None  # the frame on the air
         # Client hooks
         self.on_receive = None  # fn(frame)
         self.on_send_done = None  # fn(payload)
@@ -76,7 +76,7 @@ class CsmaMac:
     def pending(self):
         """Number of frames not yet fully transmitted (queued, in
         backoff, or on the air)."""
-        return len(self._queue) + (1 if self._in_flight else 0)
+        return len(self._queue) + (self._in_flight is not None)
 
     def cancel_pending(self):
         """Drop all queued frames (called when a node goes to sleep).
@@ -99,15 +99,17 @@ class CsmaMac:
         """
         self.cancel_pending()
         self._busy = False
-        self._in_flight = False
+        self._in_flight = None
 
     def _pump(self):
         if self._busy or not self._queue or not self.radio.is_on:
             return
         self._busy = True
-        delay = self._rng.uniform(
-            self.config.initial_backoff_min, self.config.initial_backoff_max
-        )
+        # ``lo + (hi - lo) * random()`` is random.uniform's own expression:
+        # the same draws, without the call.
+        config = self.config
+        lo = config.initial_backoff_min
+        delay = lo + (config.initial_backoff_max - lo) * self._rng.random()
         self._pending_event = self.sim.schedule(delay, self._attempt)
 
     def _attempt(self):
@@ -119,19 +121,18 @@ class CsmaMac:
         if self.channel.carrier_busy(radio.node_id):
             self.congestion_backoffs += 1
             config = self.config
-            delay = self._rng.uniform(
-                config.congestion_backoff_min,
-                config.congestion_backoff_max,
-            )
+            lo = config.congestion_backoff_min
+            delay = lo + (config.congestion_backoff_max - lo) \
+                * self._rng.random()
             self._pending_event = self.sim.schedule(delay, self._attempt)
             return
-        frame = self._queue.popleft()
-        self._in_flight = True
-        self.channel.transmit(self.radio, frame, on_done=lambda: self._sent(frame))
+        frame = self._in_flight = self._queue.popleft()
+        self.channel.transmit(radio, frame, on_done=self._sent)
 
-    def _sent(self, frame):
+    def _sent(self):
+        frame = self._in_flight
         self._busy = False
-        self._in_flight = False
+        self._in_flight = None
         if self.on_send_done is not None:
             self.on_send_done(frame.payload)
         self._pump()

@@ -112,7 +112,7 @@ class TdmaMac:
         self.schedule = schedule
         self._queue = []
         self._slot_event = None
-        self._in_flight = False
+        self._in_flight = None  # the frame on the air
         # Client hooks (same surface as CsmaMac).
         self.on_receive = None
         self.on_send_done = None
@@ -141,7 +141,7 @@ class TdmaMac:
         return frame
 
     def pending(self):
-        return len(self._queue) + (1 if self._in_flight else 0)
+        return len(self._queue) + (self._in_flight is not None)
 
     def cancel_pending(self):
         self._queue.clear()
@@ -151,7 +151,7 @@ class TdmaMac:
 
     def reset(self):
         self.cancel_pending()
-        self._in_flight = False
+        self._in_flight = None
 
     # ------------------------------------------------------------------
     def _arm(self):
@@ -166,19 +166,19 @@ class TdmaMac:
         self._slot_event = None
         if not self._queue:
             return
-        if not self.radio.is_on or self.radio.transmitting or self._in_flight:
+        if not self.radio.is_on or self.radio.transmitting \
+                or self._in_flight is not None:
             self.slots_skipped += 1
             self._arm()
             return
-        frame = self._queue.pop(0)
-        self._in_flight = True
+        frame = self._in_flight = self._queue.pop(0)
         self.slots_used += 1
-        self.channel.transmit(self.radio, frame,
-                              on_done=lambda: self._sent(frame))
+        self.channel.transmit(self.radio, frame, on_done=self._sent)
         self._arm()  # next frame waits for the next owned slot
 
-    def _sent(self, frame):
-        self._in_flight = False
+    def _sent(self):
+        frame = self._in_flight
+        self._in_flight = None
         if self.on_send_done is not None:
             self.on_send_done(frame.payload)
         self._arm()

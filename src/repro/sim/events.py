@@ -5,8 +5,8 @@ increasing tie-breaker, so simultaneous events execute in scheduling order
 and runs are fully deterministic.
 """
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 
 
 class Event:
@@ -50,50 +50,35 @@ class EventQueue:
     ``Event.__lt__`` call -- heap maintenance is the kernel's single
     hottest loop.  Cancellation is lazy: cancelled events stay in the
     heap and are discarded on pop, which keeps both operations O(log n).
+    The live count is the heap size less the cancelled entries still in
+    it, so pushing or executing an event updates no counter.
+
+    :meth:`repro.sim.kernel.Simulator.run` and
+    :meth:`~repro.sim.kernel.Simulator.cancel` work on ``_heap`` and
+    ``_dead`` directly, so an executed or cancelled event costs no call
+    into the queue; :meth:`pop` and :meth:`notice_cancel` are the same
+    two steps for a queue used on its own.
     """
 
     def __init__(self):
         self._heap = []  # (time, seq, Event) entries
         self._counter = itertools.count()
-        self._live = 0
+        self._dead = 0  # cancelled entries still in the heap
 
     def push(self, time, fn, args=()):
         """Insert a callback at absolute ``time``; returns the Event handle."""
-        event = Event(time, next(self._counter), fn, args)
-        heapq.heappush(self._heap, (time, event.seq, event))
-        self._live += 1
+        seq = next(self._counter)
+        event = Event(time, seq, fn, args)
+        heappush(self._heap, (time, seq, event))
         return event
 
     def pop(self):
         """Remove and return the earliest non-cancelled event, or None."""
         while self._heap:
-            event = heapq.heappop(self._heap)[2]
+            event = heappop(self._heap)[2]
             if event.cancelled:
+                self._dead -= 1
                 continue
-            self._live -= 1
-            event.fired = True
-            return event
-        return None
-
-    def pop_due(self, until=None):
-        """Pop the earliest live event due at or before ``until``.
-
-        Returns None when the earliest live event lies beyond ``until``
-        or the queue is empty.  This fuses peek + pop into a single heap
-        access for the kernel's inner loop.
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
-                heappop(heap)
-                continue
-            if until is not None and entry[0] > until:
-                return None
-            heappop(heap)
-            self._live -= 1
             event.fired = True
             return event
         return None
@@ -102,20 +87,21 @@ class EventQueue:
         """Time of the earliest live event, or None if the queue is empty."""
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+            heappop(heap)
+            self._dead -= 1
         return heap[0][0] if heap else None
 
     def __len__(self):
-        return self._live
+        return len(self._heap) - self._dead
 
     def __bool__(self):
-        return self._live > 0
+        return len(self._heap) > self._dead
 
     def notice_cancel(self):
-        """Account for an externally cancelled event (kept internal to kernel).
+        """Account for an event cancelled with :meth:`Event.cancel`.
 
-        Must only be called for events that were live when cancelled; the
-        kernel's :meth:`repro.sim.kernel.Simulator.cancel` guards against
-        already-fired and already-cancelled events.
+        Must only be called for events that were live when cancelled
+        (:meth:`repro.sim.kernel.Simulator.cancel` makes the same check
+        before it counts the entry itself).
         """
-        self._live -= 1
+        self._dead += 1

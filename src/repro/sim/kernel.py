@@ -4,7 +4,9 @@ Time is measured in *milliseconds* as floats throughout the reproduction;
 helpers :data:`SECOND` and :data:`MINUTE` keep call sites readable.
 """
 
+import math
 import random
+from heapq import heappop
 
 from repro.sim.events import EventQueue
 from repro.sim.tracing import Tracer
@@ -59,11 +61,12 @@ class Simulator:
 
         Cancelling an event that already fired (or was already cancelled)
         is a true no-op: the queue's live count only ever accounts for
-        events that were actually pending.
+        events that were actually pending.  The event stays in the heap,
+        counted as dead, and :meth:`run` discards it when it surfaces.
         """
         if event is not None and not event.cancelled and not event.fired:
-            event.cancel()
-            self.queue.notice_cancel()
+            event.cancelled = True
+            self.queue._dead += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -75,31 +78,45 @@ class Simulator:
         (clock is then advanced exactly to ``until``), when ``max_events``
         have run, or when :meth:`stop` is called from inside an event.
         Returns the number of events executed during this call.
+
+        The loop works on the queue's ``(time, seq, event)`` heap entries
+        directly: one peek at the top entry per iteration, cancelled
+        entries popped and dropped on the way.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         self._stopped = False
         executed = 0
-        pop_due = self.queue.pop_due
+        horizon = math.inf if until is None else until
+        queue = self.queue
+        heap = queue._heap
         try:
             while not self._stopped:
                 if max_events is not None and executed >= max_events:
                     break
-                event = pop_due(until)
-                if event is None:
-                    # Queue drained, or the earliest live event lies
-                    # beyond `until`; either way the clock advances
-                    # exactly to `until`.
-                    if until is not None and self.now < until:
-                        self.now = until
-                    break
-                self.now = event.time
-                event.fn(*event.args)
-                executed += 1
-                self.events_executed += 1
+                if heap:
+                    time, _, event = heap[0]
+                    if event.cancelled:
+                        heappop(heap)
+                        queue._dead -= 1
+                        continue
+                    if time <= horizon:
+                        heappop(heap)
+                        event.fired = True
+                        self.now = time
+                        event.fn(*event.args)
+                        executed += 1
+                        continue
+                # Queue drained, or the earliest live event lies beyond
+                # `until`; either way the clock advances exactly to
+                # `until`.
+                if until is not None and self.now < until:
+                    self.now = until
+                break
         finally:
             self._running = False
+            self.events_executed += executed
         return executed
 
     def run_until(self, predicate, check_every=1000.0, deadline=None):

@@ -48,8 +48,10 @@ class Timer:
 
     def start(self, delay):
         """Arm (or re-arm) the timer to fire ``delay`` ms from now."""
-        self.stop()
-        self._event = self.sim.schedule(delay, self._fire)
+        event = self.sim.schedule(delay, self._fire)
+        if self._event is not None:
+            self.sim.cancel(self._event)
+        self._event = event
 
     def stop(self):
         """Disarm the timer; a no-op if it is not running."""

@@ -281,6 +281,42 @@ def test_encoder_matches_byte_loop_reference(field):
             assert encoder.next_coded() == reference.next_coded(), n
 
 
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts its block draws (> 32 bits)."""
+
+    block_draws = 0
+
+    def getrandbits(self, k):
+        if k > 32:
+            self.block_draws += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n, packets", [(1, 700), (127, 8), (128, 8)])
+def test_encoder_long_stream_matches_reference(n, packets):
+    """The GF(2^8) coefficient pool refills several times over a long
+    stream and stays on the one-``randrange(256)``-per-byte stream."""
+    rng = random.Random(0x5EED + n)
+    generation = _random_generation(rng, n, 23)
+    source = _CountingRandom(n)
+    encoder = GenerationEncoder(generation, source)
+    reference = ReferenceEncoder(generation, random.Random(n), "gf256")
+    for _ in range(packets):
+        assert encoder.next_coded() == reference.next_coded()
+    assert source.block_draws >= 4
+
+
+def test_encoder_redraws_all_zero_vector_like_reference():
+    """An all-zero coefficient vector is redrawn from the same stream."""
+    seed = next(s for s in range(10_000)
+                if random.Random(s).randrange(256) == 0)
+    generation = _random_generation(random.Random(seed), 1, 23)
+    encoder = GenerationEncoder(generation, random.Random(seed))
+    reference = ReferenceEncoder(generation, random.Random(seed), "gf256")
+    for _ in range(4):
+        assert encoder.next_coded() == reference.next_coded()
+
+
 # ---------------------------------------------------------------------------
 # Seeded encode/decode round-trip fuzz
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Deterministic cost proxy: trace emits on a seeded stock-MNP run.
+"""Deterministic cost proxies on a seeded stock-MNP run.
 
 Per-frame metrics come from the channel's own counts, and the hot
 protocol emits are guarded by ``Tracer.watches``, so a run whose only
 subscriber is the metrics collector makes no ``Tracer.emit`` call for a
-per-frame or per-state-change category.  Emit calls are counted, not
-timed, so the figure is exact on any host.
+per-frame or per-state-change category.  The same run also pins how many
+Python calls the event kernel and the radio stack make.  Calls are
+counted, not timed, so the figures are exact on any host.
 """
 
+import sys
 from collections import Counter
 
 from repro.core.segments import CodeImage
@@ -31,6 +33,15 @@ HOT_CATEGORIES = (
 )
 
 
+def _seeded_deployment():
+    return Deployment(
+        Topology.grid(6, 6, 10.0),
+        image=CodeImage.random(1, n_segments=2, segment_packets=32, seed=3),
+        seed=3, propagation=PropagationModel(13.0, 3.0),
+        loss_model=EmpiricalLossModel(seed=3),
+    )
+
+
 def test_plain_run_emits_only_collector_milestones(monkeypatch):
     calls = Counter()
     emit = Tracer.emit
@@ -40,13 +51,7 @@ def test_plain_run_emits_only_collector_milestones(monkeypatch):
         emit(self, category, **fields)
 
     monkeypatch.setattr(Tracer, "emit", counted)
-    dep = Deployment(
-        Topology.grid(6, 6, 10.0),
-        image=CodeImage.random(1, n_segments=2, segment_packets=32, seed=3),
-        seed=3, propagation=PropagationModel(13.0, 3.0),
-        loss_model=EmpiricalLossModel(seed=3),
-    )
-    result = dep.run_to_completion()
+    result = _seeded_deployment().run_to_completion()
     assert result.all_complete
     assert sum(result.messages_sent().values()) == 5126
     assert result.collector.collisions == 552
@@ -55,3 +60,31 @@ def test_plain_run_emits_only_collector_milestones(monkeypatch):
         assert calls[category] == 0, category
     assert set(calls) <= set(MetricsCollector.CATEGORIES)
     assert sum(calls.values()) == 696
+
+
+def test_plain_run_calls_into_kernel_and_radio():
+    """Every Python call whose code lives under ``repro/sim/`` or
+    ``repro/radio/`` is counted with ``sys.setprofile``: a change that
+    adds or removes a call per event, per frame or per reception moves
+    these counts (317,032 in all when the kernel still called into the
+    queue per event and the channel built a record per reception)."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            path = frame.f_code.co_filename.replace("\\", "/")
+            if "/repro/sim/" in path:
+                calls["sim"] += 1
+            elif "/repro/radio/" in path:
+                calls["radio"] += 1
+
+    dep = _seeded_deployment()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = dep.run_to_completion()
+    finally:
+        sys.setprofile(previous)
+    assert result.all_complete
+    assert dep.sim.events_executed == 17342
+    assert calls == {"sim": 127156, "radio": 131478}
