@@ -215,21 +215,21 @@ GOLDEN_TEXT = {
 
 #: name -> (exit code, SHA-256 of the ``--json`` output)
 GOLDEN_JSON = {
-    "chaos": (0, "e9a678f3892b2f175b38d43705fa670e"
-                 "f14b781ec08fb93c942a80ea342880b8"),
+    "chaos": (0, "2ca50453a4580db17e264577a80ea0fa"
+                 "cc150be7ed1bbd0b5157a9864747efbe"),
     "adversary": (0, "353c18e1c456298763b5141ac3429b68"
                      "1fb2990880e7eef8d71feaafd70e5132"),
     "adversary-insecure": (1, "605b448fbf56a0fd3ae049b43d0b3b82"
                               "ee203ddc4ea070e6dbf9bfa78011d07b"),
-    "chaos-coded": (0, "9b0ee0735c596911782ffc0ddfdd3b47"
-                       "ce22299e3b6a56d1be672d39cda0c5ee"),
-    "chaos-restart": (0, "2d402007406d34e890f7c88262cdf2f6"
-                         "8423862b6470f5d10f7ddf8368e9b6fb"),
-    "adversary-coded-deluge": (0, "47abbca6890d453ee98c922d18889a69"
-                                  "a12bc2f767bbbd5c1f4a3f5750a04d6b"),
+    "chaos-coded": (0, "a37d425103341359aaec92fd730bbf8e"
+                       "4d1e03d02c341731b8df6f7ebccade2a"),
+    "chaos-restart": (0, "9fad0f13521d4f56dd198f9a9c2b9028"
+                         "4746d2ca3436ec59036b292cb40b7187"),
+    "adversary-coded-deluge": (0, "2421eb1e98c4dacac34faa3bd6a5a940"
+                                  "7b201abec9538136261791a2eadf0a0d"),
     "adversary-coded-deluge-insecure": (
-        1, "9c571a7abf9b82301903f866f9cc5995"
-           "2be137a06701eae4489cbce66b767e2b"),
+        1, "6ff7cbc8988b525ddb2c5352767b5180"
+           "0f20edd1609d3c1c797dcac8bb14f594"),
 }
 
 

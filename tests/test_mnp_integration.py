@@ -5,9 +5,12 @@ accuracy, §2), the write-once EEPROM guarantee (§3.3), pipelining, the
 query/update variant, and recovery from injected failures.
 """
 
+from repro.baselines.deluge import DelugeNode
+from repro.baselines.moap import MoapNode
+from repro.baselines.xnp import XnpNode
 from repro.core.config import MNPConfig
 from repro.core.segments import CodeImage
-from repro.core.states import is_allowed
+from repro.core.states import MNPState, is_allowed
 from repro.experiments.common import Deployment
 from repro.net.loss_models import PerfectLossModel, UniformLossModel
 from repro.net.topology import Topology
@@ -21,9 +24,9 @@ pytestmark = pytest.mark.slow
 
 
 def run(topo, image, cfg=None, seed=0, loss=None, propagation=None,
-        deadline_min=30, base_id=None):
+        deadline_min=30, base_id=None, protocol="mnp"):
     dep = Deployment(
-        topo, image=image, protocol="mnp", protocol_config=cfg, seed=seed,
+        topo, image=image, protocol=protocol, protocol_config=cfg, seed=seed,
         loss_model=loss or PerfectLossModel(),
         propagation=propagation or PropagationModel.outdoor(25.0),
         base_id=base_id,
@@ -72,13 +75,37 @@ def test_eeprom_write_once_invariant():
         assert mote.eeprom.max_write_count() <= 1
 
 
-def test_all_state_transitions_follow_fig4():
+#: protocol -> (the base station's initial state, every other node's)
+INITIAL_STATES = {
+    "mnp": (MNPState.IDLE, MNPState.IDLE),
+    "coded_mnp": (MNPState.IDLE, MNPState.IDLE),
+    "deluge": (DelugeNode.MAINTAIN, DelugeNode.MAINTAIN),
+    "coded_deluge": (DelugeNode.MAINTAIN, DelugeNode.MAINTAIN),
+    "moap": (MoapNode.PUBLISH, MoapNode.LISTEN),
+    "xnp": (XnpNode.ANNOUNCE, XnpNode.RECEIVE),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(INITIAL_STATES))
+def test_all_state_transitions_follow_fig4(protocol):
+    # Every protocol with roles changes them through one funnel: each
+    # node's history is one unbroken chain from its initial state, and
+    # every step is an edge of its protocol's table (Fig. 4 for MNP).
     image = small_image()
     dep, res = run(Topology.grid(3, 3, 15), image,
-                   loss=UniformLossModel(5e-4), seed=2)
-    for node in dep.nodes.values():
+                   loss=UniformLossModel(5e-4), seed=2, protocol=protocol)
+    moved = 0
+    for node_id, node in dep.nodes.items():
+        base, other = INITIAL_STATES[protocol]
+        state = base if node_id == dep.base_id else other
         for _, frm, to in node.state_changes:
+            assert frm == state, f"node {node_id}: chain broken at {frm}"
             assert is_allowed(frm, to), f"illegal {frm}->{to}"
+            assert to in type(node).TRANSITIONS[frm]
+            state = to
+            moved += 1
+        assert node.state == state
+    assert moved > 0
 
 
 def test_pipelining_segments_arrive_in_order():

@@ -2,13 +2,18 @@
 
 import pytest
 
+from repro.baselines.deluge import DelugeNode
+from repro.baselines.moap import MoapNode
+from repro.baselines.xnp import XnpNode
 from repro.core.config import MNPConfig
 from repro.core.mnp import MNPNode, TransitionError
 from repro.core.states import (
     ALLOWED_TRANSITIONS,
+    EDGES,
     MNPState,
     is_allowed,
     iter_edges,
+    register_edges,
 )
 from tests.conftest import make_world
 
@@ -79,6 +84,26 @@ def test_iter_edges_matches_the_table_and_is_deterministic():
     assert [e for e in edges if e[0] == MNPState.FAIL] == [
         (MNPState.FAIL, MNPState.IDLE)
     ]
+
+
+# ----------------------------------------------------------------------
+# One edge lookup for every protocol with roles
+# ----------------------------------------------------------------------
+def test_every_protocol_table_is_in_the_one_lookup():
+    for cls in (MNPNode, DelugeNode, MoapNode, XnpNode):
+        for frm, targets in cls.TRANSITIONS.items():
+            assert EDGES[frm] is targets  # shared, not copied
+            for to in targets:
+                assert is_allowed(frm, to)
+    assert MNPNode.TRANSITIONS is ALLOWED_TRANSITIONS
+    assert not is_allowed(DelugeNode.TX, DelugeNode.RX)
+    assert not is_allowed(MoapNode.LISTEN, MNPState.IDLE)
+
+
+def test_a_state_name_belongs_to_one_protocol():
+    with pytest.raises(ValueError):
+        register_edges({MoapNode.LISTEN: {MoapNode.PUBLISH}})
+    assert EDGES[MoapNode.LISTEN] is MoapNode.TRANSITIONS[MoapNode.LISTEN]
 
 
 # ----------------------------------------------------------------------
