@@ -109,6 +109,19 @@ def test_chaos_deluge_node_restarted_mid_page_rejoins(protocol):
     assert out.survivor_coverage == 1.0
 
 
+def test_chaos_moap_sender_restarted_mid_stream_resumes():
+    # The base station crashes 300 ms into its stream and restarts 3 s
+    # later.  MOAP had no restart path, so it came back in its streaming
+    # role with no timer armed, and the event queue drained at 12 s with
+    # 1 of 16 nodes holding the image.
+    plan = FaultPlan().crash(8601.6, nodes=[0], restart_after_ms=3000.0)
+    out = run_chaos(plan, rows=4, cols=4, protocol="moap", n_segments=1,
+                    segment_packets=16, seed=0)
+    assert 0 in out.controller.restarted_nodes
+    assert out.verdict["ok"], out.verdict
+    assert out.survivor_coverage == 1.0
+
+
 # ----------------------------------------------------------------------
 # Runner integration: cached, parallel, and consistent
 # ----------------------------------------------------------------------
