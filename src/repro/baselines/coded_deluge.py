@@ -77,8 +77,4 @@ class CodedDelugeNode(CodedImage, DelugeNode):
         return self._absorb(msg)[0]
 
 
-def _make_coded_deluge(mote, config, image):
-    return CodedDelugeNode(mote, config=config, image=image)
-
-
-register_protocol("coded_deluge", _make_coded_deluge)
+register_protocol("coded_deluge", CodedDelugeNode)

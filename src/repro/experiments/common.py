@@ -31,13 +31,10 @@ SPACING_FT = 10.0
 MNP_FAMILY = ("mnp", "coded_mnp")
 
 
-def _make_mnp(mote, config, image):
-    return MNPNode(mote, config=config, image=image)
-
-
-#: Known protocol factories: name -> fn(mote, config, image_or_None).
-#: Baselines register themselves here on import (see repro.baselines).
-PROTOCOLS = {"mnp": _make_mnp}
+#: Known protocol factories: name -> fn(mote, config, image_or_None),
+#: typically the node class itself.  Baselines register themselves here
+#: on import (see repro.baselines).
+PROTOCOLS = {"mnp": MNPNode}
 
 
 def register_protocol(name, factory):
