@@ -409,6 +409,41 @@ def test_xnp_nak_ignored_outside_collection_phases():
     assert base._stream == []
 
 
+def test_xnp_power_cycle_returns_the_base_to_announce():
+    # A crash in BROADCAST kills the pacing timer with the MCU; the
+    # base used to come back in BROADCAST, where no timer moves it on.
+    world, base, node = pair(XnpNode, image=image2())
+    base.start()
+    world.sim.run(until=base.config.adv_gap_ms
+                  * (base.config.adv_repeats + 1) + 1.0)
+    assert base.state == XnpNode.BROADCAST and base._stream
+    base.mote.kill()
+    world.sim.run(until=world.sim.now + 60_000)  # its timers die
+    base.mote.revive()
+    base.power_cycle()
+    assert base.state == XnpNode.ANNOUNCE
+    assert base.state_changes[-1][1:] == (XnpNode.BROADCAST,
+                                          XnpNode.ANNOUNCE)
+    assert base._stream == [] and base._nak_queue == []
+    assert base._adv_left == base.config.adv_repeats
+    assert base._query_rounds_left == base.config.query_rounds
+    assert base._timer.running
+
+
+def test_xnp_power_cycle_drops_a_receivers_naks():
+    world, base, node = pair(XnpNode, image=image2())
+    node.start()
+    node._handle_adv(XnpAdv(0, 1, 2, 4, 4))
+    node._handle_query(XnpQuery(0))
+    assert node._nak_queue == [1, 2] and node._nak_timer.running
+    node.mote.kill()
+    node.mote.revive()
+    node.power_cycle()
+    assert node.state == XnpNode.RECEIVE
+    assert node._nak_queue == []
+    assert not node._nak_timer.running and not node._timer.running
+
+
 # ----------------------------------------------------------------------
 # Secured version admission, shared by every baseline
 # ----------------------------------------------------------------------

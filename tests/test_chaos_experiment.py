@@ -2,6 +2,7 @@
 
 import json
 
+from repro.baselines.xnp import XnpNode
 from repro.experiments.chaos import (
     FAULT_CLASSES,
     chaos_experiment,
@@ -120,6 +121,24 @@ def test_chaos_moap_sender_restarted_mid_stream_resumes():
     assert 0 in out.controller.restarted_nodes
     assert out.verdict["ok"], out.verdict
     assert out.survivor_coverage == 1.0
+
+
+@pytest.mark.parametrize("crash_ms", [2100.0, 2200.0, 2400.0])
+def test_chaos_xnp_base_restarted_mid_broadcast_finishes(crash_ms):
+    # The base station crashes during its broadcast pass (it starts at
+    # 2 s) and restarts 3 s later.  It came back in BROADCAST with only
+    # its timer armed, which moved it on in ANNOUNCE and COLLECT alone,
+    # so the run ended at 6 s with 1 of 16 nodes holding the image.
+    plan = FaultPlan().crash(crash_ms, nodes=[0], restart_after_ms=3000.0)
+    out = run_chaos(plan, rows=4, cols=4, protocol="xnp", n_segments=1,
+                    segment_packets=16, seed=0)
+    base = out.deployment.nodes[0]
+    assert 0 in out.controller.restarted_nodes
+    assert out.verdict["ok"], out.verdict
+    assert base.state == XnpNode.DONE
+    assert base._stream == []
+    # The clean run reaches 6 of 16: XNP does not forward.
+    assert len(out.complete) >= 6
 
 
 # ----------------------------------------------------------------------
