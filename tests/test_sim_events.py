@@ -1,100 +1,94 @@
-"""Unit tests for the event queue."""
+"""Unit tests for the simulator's event heap."""
 
-from repro.sim.events import Event, EventQueue
+import random
+
+from repro.sim.kernel import Event, Simulator
 
 
-def test_push_pop_orders_by_time():
-    q = EventQueue()
-    q.push(5.0, lambda: None)
-    q.push(1.0, lambda: None)
-    q.push(3.0, lambda: None)
-    times = [q.pop().time for _ in range(3)]
-    assert times == [1.0, 3.0, 5.0]
+def test_events_run_in_time_order():
+    sim = Simulator()
+    seen = []
+    for t in (5.0, 1.0, 3.0):
+        sim.schedule_at(t, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [1.0, 3.0, 5.0]
 
 
 def test_ties_broken_by_insertion_order():
-    q = EventQueue()
-    first = q.push(2.0, "a")
-    second = q.push(2.0, "b")
-    assert q.pop() is first
-    assert q.pop() is second
-
-
-def test_pop_empty_returns_none():
-    assert EventQueue().pop() is None
+    sim = Simulator()
+    seen = []
+    first = sim.schedule(2.0, seen.append, "a")
+    second = sim.schedule_at(2.0, seen.append, "b")
+    assert (first.time, second.time) == (2.0, 2.0)
+    assert first.seq < second.seq
+    sim.run()
+    assert seen == ["a", "b"]
 
 
 def test_cancelled_events_are_skipped():
-    q = EventQueue()
-    keep = q.push(1.0, "keep")
-    drop = q.push(0.5, "drop")
-    drop.cancel()
-    q.notice_cancel()
-    assert q.pop() is keep
-    assert q.pop() is None
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, seen.append, "keep")
+    drop = sim.schedule(0.5, seen.append, "drop")
+    sim.cancel(drop)
+    assert sim.run() == 1
+    assert seen == ["keep"]
+    assert not drop.fired
 
 
-def test_len_counts_live_events():
-    q = EventQueue()
-    a = q.push(1.0, None)
-    q.push(2.0, None)
-    assert len(q) == 2
-    a.cancel()
-    q.notice_cancel()
-    assert len(q) == 1
-
-
-def test_bool_reflects_liveness():
-    q = EventQueue()
-    assert not q
-    e = q.push(1.0, None)
-    assert q
-    e.cancel()
-    q.notice_cancel()
-    assert not q
-
-
-def test_peek_time_skips_cancelled():
-    q = EventQueue()
-    early = q.push(1.0, None)
-    q.push(2.0, None)
-    early.cancel()
-    q.notice_cancel()
-    assert q.peek_time() == 2.0
-
-
-def test_peek_time_empty_is_none():
-    assert EventQueue().peek_time() is None
-
-
-def test_event_double_cancel_is_noop():
-    event = Event(1.0, 0, None, ())
-    event.cancel()
-    event.cancel()
-    assert event.cancelled
-
-
-def test_event_ordering_dunder():
-    a = Event(1.0, 0, None, ())
-    b = Event(1.0, 1, None, ())
-    c = Event(0.5, 2, None, ())
-    assert c < a < b
-
-
-def test_repr_mentions_state():
-    event = Event(1.5, 0, test_repr_mentions_state, ())
-    assert "1.5" in repr(event)
-    event.cancel()
-    assert "cancelled" in repr(event)
+def test_pending_counts_live_events():
+    sim = Simulator()
+    assert sim.pending == 0
+    a = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    assert sim.pending == 2
+    sim.cancel(a)
+    assert sim.pending == 1
+    sim.run(until=1.5)  # drops the cancelled entry, runs nothing
+    assert sim.pending == 1
+    sim.run()
+    assert sim.pending == 0
+    assert "pending=0" in repr(sim)
 
 
 def test_many_events_pop_in_global_order():
-    q = EventQueue()
-    import random
-
+    sim = Simulator()
     rng = random.Random(3)
     times = [rng.uniform(0, 100) for _ in range(500)]
+    seen = []
     for t in times:
-        q.push(t, None)
-    popped = [q.pop().time for _ in range(500)]
-    assert popped == sorted(times)
+        sim.schedule_at(t, lambda: seen.append(sim.now))
+    assert sim.run() == 500
+    assert seen == sorted(times)
+
+
+def test_repr_mentions_state():
+    sim = Simulator()
+    event = sim.schedule(1.5, test_repr_mentions_state)
+    assert isinstance(event, Event)
+    assert "1.5" in repr(event)
+    assert "test_repr_mentions_state" in repr(event)
+    sim.cancel(event)
+    assert "cancelled" in repr(event)
+
+
+def test_run_until_skips_cancelled_events():
+    # Cancelled entries neither keep a drained run alive nor stop the
+    # dead-air fold short of the earliest live event.
+    sim = Simulator()
+    sim.cancel(sim.schedule(1.0, lambda: None))
+    assert not sim.run_until(lambda: False)
+    assert sim.pending == 0 and sim.now == 0.0
+    seen, slices = [], []
+    run = sim.run
+
+    def sliced(until=None, max_events=None):
+        slices.append(until)
+        return run(until=until, max_events=max_events)
+
+    sim.run = sliced
+    sim.cancel(sim.schedule(500.0, seen.append, "dead"))
+    sim.schedule(4500.0, seen.append, "live")
+    assert sim.run_until(lambda: bool(seen), check_every=1000.0)
+    assert seen == ["live"]
+    assert slices == [5000.0] and sim.now == 5000.0

@@ -87,16 +87,6 @@ def test_cancel_is_idempotent_and_accepts_none():
     assert sim.run() == 0
 
 
-def test_stop_halts_loop():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1.0, lambda: (seen.append(1), sim.stop()))
-    sim.schedule(2.0, seen.append, 2)
-    sim.run()
-    assert seen == [1]
-    assert len(sim.queue) == 1
-
-
 def test_max_events_bounds_execution():
     sim = Simulator()
     for i in range(10):
