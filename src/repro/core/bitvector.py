@@ -59,12 +59,6 @@ class BitVector:
             raise ValueError("length mismatch")
         self._bits |= other._bits
 
-    def intersect(self, other):
-        """In-place intersection."""
-        if other.n != self.n:
-            raise ValueError("length mismatch")
-        self._bits &= other._bits
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

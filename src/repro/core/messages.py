@@ -73,8 +73,6 @@ class SignedAdvertisement(Advertisement):
 
     __slots__ = ("nonce", "tag", "manifest")
 
-    _MAGIC = b"MNPA"
-
     def __init__(self, source_id, program_id, n_segments, high_seg_id,
                  offer_seg_id, req_ctr, segment_packets, last_seg_packets,
                  image_crc=None, group_id=0, nonce=0, tag=b"", manifest=None):
@@ -122,57 +120,6 @@ class SignedAdvertisement(Advertisement):
         if self.manifest.program_id != self.program_id:
             return False
         return self.manifest.verify(key)
-
-    # ------------------------------------------------------------------
-    # Wire codec (used by the codec fuzz suite; in-sim frames carry the
-    # object itself, with wire_bytes() charging honest airtime)
-    # ------------------------------------------------------------------
-    def encode(self):
-        import struct
-
-        from repro.core.auth import AuthError
-
-        if self.manifest is None:
-            raise AuthError("signed advertisement without a manifest")
-        if len(self.tag) != 32:
-            raise AuthError("signed advertisement with a malformed tag")
-        crc = self.image_crc if self.image_crc is not None else 0
-        head = struct.pack(
-            ">4sIIHHHHHHBBHQ", self._MAGIC, self.source_id,
-            self.program_id, self.n_segments, self.high_seg_id,
-            self.offer_seg_id, self.req_ctr, self.segment_packets,
-            self.last_seg_packets, self.group_id,
-            1 if self.image_crc is not None else 0, crc, self.nonce,
-        )
-        return head + self.tag + self.manifest.encode()
-
-    @classmethod
-    def decode(cls, data):
-        import struct
-
-        from repro.core.auth import AuthError, ImageManifest
-
-        head = struct.Struct(">4sIIHHHHHHBBHQ")
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise AuthError("signed advertisement must be bytes")
-        data = bytes(data)
-        if len(data) < head.size + 32:
-            raise AuthError("signed advertisement truncated")
-        (magic, source_id, program_id, n_segments, high_seg_id,
-         offer_seg_id, req_ctr, segment_packets, last_seg_packets,
-         group_id, crc_flag, crc, nonce) = head.unpack_from(data)
-        if magic != cls._MAGIC:
-            raise AuthError(f"bad advertisement magic {magic!r}")
-        if crc_flag not in (0, 1):
-            raise AuthError("bad crc-present flag")
-        tag = data[head.size:head.size + 32]
-        manifest = ImageManifest.decode(data[head.size + 32:])
-        return cls(source_id, program_id, n_segments, high_seg_id,
-                   offer_seg_id, req_ctr, segment_packets,
-                   last_seg_packets,
-                   image_crc=crc if crc_flag else None,
-                   group_id=group_id, nonce=nonce, tag=tag,
-                   manifest=manifest)
 
 
 class LossSummary:

@@ -1,9 +1,8 @@
 """The coded-dissemination sweep: messages/energy vs link loss.
 
 Runs one (protocol, loss) cell per :class:`~repro.runner.RunSpec` so the
-runner's content-hash cache and worker fleet apply, and exposes
-:func:`run_coding_matrix` for driving the full grid from the CLI
-(``python -m repro sweep --experiment coding``).
+runner's content-hash cache and worker fleet apply; the CLI drives the
+full grid (``python -m repro sweep --experiment coding``).
 
 The experiment pins its own geometry (a dense 5x5 grid, two 24-packet
 segments) rather than consulting the scale registry: the question it
@@ -100,27 +99,3 @@ def coding_experiment(spec):
         deadline_min=ov.get("deadline_min", 480.0),
         config=ov.get("config"),
     )
-
-
-def run_coding_matrix(protocols=CODING_PROTOCOLS, loss_pcts=LOSS_PCTS,
-                      seeds=(0,), runner=None, scale="default", **overrides):
-    """Drive the whole (protocol x loss x seed) grid through a runner.
-
-    Returns ``{(protocol, loss_pct): [metrics per seed]}``.
-    """
-    from repro.runner import Runner, RunSpec
-
-    runner = runner or Runner()
-    specs = [
-        RunSpec("coding", protocol=protocol, scale=scale, seed=seed,
-                loss_pct=loss_pct, **overrides)
-        for protocol in protocols
-        for loss_pct in loss_pcts
-        for seed in seeds
-    ]
-    results = runner.run(specs)
-    matrix = {}
-    for spec, metrics in zip(specs, results):
-        cell = (spec.protocol, spec.overrides.get("loss_pct", 0))
-        matrix.setdefault(cell, []).append(metrics)
-    return matrix

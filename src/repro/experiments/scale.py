@@ -46,11 +46,6 @@ def get_scale(name):
         ) from None
 
 
-def scale_names():
-    """All known scale names, sorted."""
-    return sorted(_SCALES)
-
-
 def current_scale():
     """The scale selected by REPRO_SCALE (default: 'default')."""
     return get_scale(os.environ.get("REPRO_SCALE", "default"))

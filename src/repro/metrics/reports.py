@@ -99,22 +99,7 @@ def format_parent_arrows(parent_map, topology, base_id, title=None):
     return "\n".join(lines)
 
 
-_BAR_BLOCKS = " .:-=+*#%@"
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-
-def bar_chart(labels_values, width=40, title=None):
-    """Horizontal ASCII bar chart from ``[(label, value), ...]``."""
-    rows = list(labels_values)
-    if not rows:
-        return title or ""
-    peak = max(v for _, v in rows) or 1
-    label_w = max(len(str(label)) for label, _ in rows)
-    lines = [title] if title else []
-    for label, value in rows:
-        bar = "#" * max(0, round(width * value / peak))
-        lines.append(f"{str(label).ljust(label_w)} |{bar} {value:g}")
-    return "\n".join(lines)
 
 
 def sparkline(series):

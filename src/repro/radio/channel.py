@@ -33,8 +33,8 @@ closest-point-of-approach optimization of per-bit simulation):
 
 * carrier sense reads a per-node *audible-carrier counter* maintained at
   transmission start/finish/abort instead of scanning active
-  transmissions (``_carrier_busy_bruteforce`` keeps the reference scan
-  for differential tests);
+  transmissions (``tests/test_hotpath_differential.py`` checks it
+  against that scan after every event);
 * per-directed-edge BER and per-``(edge, frame size)`` decode
   probabilities are cached when the loss model is static
   (``is_time_varying`` is False), the latter as one ``{dst: P(decode)}``
@@ -250,23 +250,6 @@ class Channel:
         if self._radios[node_id].transmitting:
             return True
         return self._carrier[node_id] > 0
-
-    def _carrier_busy_bruteforce(self, node_id):
-        """Reference O(active transmissions) scan with distance math.
-
-        Kept as ground truth for the counter-based :meth:`carrier_busy`;
-        the two are differential-tested after every event in
-        ``tests/test_hotpath_differential.py``.
-        """
-        radio = self._radios[node_id]
-        if radio.transmitting:
-            return True
-        for src, tx in self._active.items():
-            if src == node_id:
-                continue
-            if self.topology.distance(src, node_id) <= tx.range_ft:
-                return True
-        return False
 
     def _release_carrier(self, tx):
         """Decrement the audible-carrier counter at every listener;

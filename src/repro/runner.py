@@ -87,13 +87,6 @@ def metrics_digest(metrics):
     ).hexdigest()
 
 
-def register_experiment(name, import_path):
-    """Register an experiment executor as ``"module:function"``."""
-    if ":" not in import_path:
-        raise ValueError(f"import path {import_path!r} must be module:function")
-    EXPERIMENTS[name] = import_path
-
-
 def resolve_experiment(name):
     """Import and return the executor function for ``name``."""
     try:
@@ -315,10 +308,6 @@ class Runner:
     def _say(self, line):
         if self.progress is not None:
             self.progress(line)
-
-    def run_one(self, spec):
-        """Execute (or load) a single spec; returns its metrics dict."""
-        return self.run([spec])[0]
 
     def run(self, specs):
         """Execute every spec, returning metrics dicts in spec order.

@@ -37,12 +37,6 @@ def test_union():
     assert a == BitVector(8, 0b0111)
 
 
-def test_intersect():
-    a = BitVector(8, 0b0011)
-    a.intersect(BitVector(8, 0b0101))
-    assert a == BitVector(8, 0b0001)
-
-
 def test_union_length_mismatch():
     with pytest.raises(ValueError):
         BitVector.none_set(4).union(BitVector.none_set(5))

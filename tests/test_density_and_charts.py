@@ -4,7 +4,7 @@ from repro.experiments.density import (
     density_report,
     run_density_sweep,
 )
-from repro.metrics.reports import bar_chart, sparkline
+from repro.metrics.reports import sparkline
 
 
 def test_density_sweep_two_points():
@@ -17,23 +17,6 @@ def test_density_sweep_two_points():
     assert dense.coverage == 1.0 and sparse.coverage == 1.0
     text = density_report(points)
     assert "spacing(ft)" in text
-
-
-def test_bar_chart_scales_to_peak():
-    text = bar_chart([("x", 5), ("y", 10)], width=10)
-    lines = text.splitlines()
-    assert lines[1].count("#") == 10
-    assert lines[0].count("#") == 5
-
-
-def test_bar_chart_empty_and_title():
-    assert bar_chart([], title="t") == "t"
-    assert "hello" in bar_chart([("a", 1)], title="hello")
-
-
-def test_bar_chart_zero_values():
-    text = bar_chart([("a", 0), ("b", 0)])
-    assert "#" not in text
 
 
 def test_sparkline_shape():
