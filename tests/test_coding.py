@@ -569,3 +569,36 @@ def test_coded_requester_survives_sender_selection_loss():
     result = dep.run_to_completion(deadline_ms=240 * MINUTE)
     assert result.summary_metrics()["coverage"] == 1.0, \
         "coded requester starved after conceding sender selection"
+
+
+def test_coded_mnp_ram_counts_decoder_rows_and_encoder_buffers():
+    """MNP's fixed 64 bytes, plus each tracker's decoder rows
+    (``rank x (n + payload_len)``) and written bitmap, plus one
+    ``n x payload_len`` buffer per cached encoder."""
+    from repro.core.coded_mnp import CodedMNPNode
+    from repro.core.mnp import ProgramInfo
+    from tests.conftest import make_world
+
+    world = make_world([(0.0, 0.0), (10.0, 0.0)])
+    image = CodeImage.random(1, n_segments=2, segment_packets=8, seed=5)
+    node = CodedMNPNode(world.motes[1])
+    node.program = ProgramInfo.of_image(image)
+    n, payload_len, bitmap = 8, 23, 1
+
+    def feed(seg_id, rows):
+        source = GenerationEncoder(image.segment(seg_id).packets,
+                                   random.Random(seg_id))
+        while node._missing_for(seg_id).rank < rows:
+            coeffs, payload = source.next_coded()
+            node._absorb(CodedDataPacket(0, seg_id, coeffs, payload,
+                                         tail_len=source.tail_len))
+
+    feed(1, n)  # decoded and flushed to flash
+    feed(2, 3)
+    assert node._missing_for(1).is_empty()
+    assert node.ram_footprint_bytes() == \
+        64 + (n + 3) * (n + payload_len) + 2 * bitmap
+    node._next_coded_packet(1)  # buffers segment 1 for sending
+    assert len(node._encoders) == 1
+    assert node.ram_footprint_bytes() == \
+        64 + (n + 3) * (n + payload_len) + 2 * bitmap + n * payload_len

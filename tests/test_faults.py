@@ -129,6 +129,27 @@ def test_crash_without_restart_stays_dead():
     assert out.verdict["ok"]
 
 
+def test_brownout_sag_takes_its_share_of_capacity_once_per_brownout():
+    plan = (FaultPlan()
+            .brownout(at_ms=4 * SECOND, duration_ms=500.0, nodes=[4],
+                      battery_sag=0.25)
+            .brownout(at_ms=8 * SECOND, duration_ms=500.0, nodes=[4, 5],
+                      battery_sag=0.25))
+    out = run_chaos(plan, rows=3, cols=3, n_segments=1,
+                    segment_packets=16, seed=2)
+    motes = out.deployment.motes
+    assert out.controller.counts["brownout"] == 3
+    assert out.survivor_coverage == 1.0
+    capacity = motes[4].battery.capacity_nah
+    assert motes[4].battery.remaining_nah == capacity * 0.5
+    assert motes[5].battery.remaining_nah == capacity * 0.75
+    # Radio use never drains the battery object: MNP charges its energy
+    # against the remainder separately.
+    for node_id in set(motes) - {4, 5}:
+        assert motes[node_id].battery.remaining_nah == capacity
+        assert motes[node_id].radio.on_time_ms() > 0
+
+
 def test_crash_with_restart_rejoins_and_completes():
     plan = FaultPlan().crash(at_ms=5 * SECOND, nodes=[4],
                              restart_after_ms=30 * SECOND)

@@ -25,9 +25,11 @@ What must hold:
 
 import asyncio
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.conformance.execute import run_scenario
 from repro.runner import Runner, RunSpec, metrics_digest
 from repro.service import Service
 from repro.service.client import ServiceClient, ServiceError
@@ -356,3 +358,37 @@ def test_fresh_instance_serves_prior_results_from_disk(tmp_path, workers):
     first = asyncio.run(run_once(expect_cached=False))
     second = asyncio.run(run_once(expect_cached=True))
     assert first == second
+
+
+# ----------------------------------------------------------------------
+# Scenario jobs
+# ----------------------------------------------------------------------
+def test_scenario_job_matches_run_scenario(tmp_path):
+    spec = json.loads((Path(__file__).parent / "corpus"
+                       / "grid-empirical.json").read_text())
+
+    async def body(svc, host, port):
+        client = ServiceClient(host, port)
+        try:
+            first = await client.submit(spec, kind="scenario")
+            second = await client.submit(spec, kind="scenario")
+            record = await client.wait(first["job"], timeout_s=60)
+            result = await client.result(first["job"])
+            with pytest.raises(ServiceError) as refused:
+                await client.submit({"topology": {"kind": "nowhere"}},
+                                    kind="scenario")
+        finally:
+            await client.close()
+        assert first["kind"] == "scenario" and not first["deduped"]
+        assert second["job"] == first["job"] and second["deduped"]
+        assert record["status"] == "done"
+        assert svc.store.executions == 1
+        assert refused.value.status == 400
+        assert refused.value.error == "malformed-scenario"
+        return result
+
+    result = asyncio.run(_serve(tmp_path, 1, body))
+    assert result["kind"] == "scenario"
+    metrics = dict(result["metrics"])
+    assert metrics.pop("variant") == {}
+    assert metrics == run_scenario(spec)
