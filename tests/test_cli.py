@@ -297,6 +297,24 @@ def test_adversary_insecure_forged_moap_and_flood_reach_a_verdict(
 
 _CHEAP_SWEEP = ["--seeds", "0", "--scale", "smoke", "--no-cache", "--quiet"]
 
+def test_sweep_coding_prints_its_matrix():
+    # One 20%-loss cell per protocol on the sweep's own pinned 5x5 grid.
+    from repro.experiments.coding import REF_FRAME_BYTES, loss_to_ber
+
+    code, text = run_cli([
+        "sweep", "--experiment", "coding", "--protocols", "mnp,coded_mnp",
+        "--loss", "20", "--seeds", "0", "--no-cache", "--quiet",
+    ])
+    assert code == 0
+    assert "Coding sweep (mean messages sent): 1 seed(s) per cell" in text
+    assert "Coding sweep (mean energy (nAh/node)): 1 seed(s) per cell" \
+        in text
+    assert "WARNING" not in text  # every node got the image
+    # A full-size data frame survives 20% loss 80% of the time.
+    survive = (1 - loss_to_ber(20)) ** (8 * REF_FRAME_BYTES)
+    assert survive == pytest.approx(0.8)
+
+
 #: Bad input: argv -> the one stderr line it must produce (exit 2).
 BAD_INPUT = {
     "chaos-unknown-protocol": (
