@@ -365,6 +365,17 @@ BAD_INPUT = {
         ["sweep", "--experiment", "coding", "--protocol", "deluge",
          "--protocols", "mnp", "--loss", "0"] + _CHEAP_SWEEP,
         "repro sweep: error: --protocol applies only to --experiment grid"),
+    "run-unknown-protocol": (
+        ["run", "--protocol", "warp"],
+        "repro run: error: unknown protocol(s) warp; known: coded_deluge, "
+        "coded_mnp, deluge, flood, mnp, moap, xnp"),
+    "run-query-update-outside-mnp-family": (
+        ["run", "--protocol", "deluge", "--query-update"],
+        "repro run: error: --query-update applies only to mnp, coded_mnp"),
+    "compare-unknown-protocol": (
+        ["compare", "mnp", "warp"],
+        "repro compare: error: unknown protocol(s) warp; known: "
+        "coded_deluge, coded_mnp, deluge, flood, mnp, moap, xnp"),
 }
 
 
@@ -375,6 +386,22 @@ def test_bad_input_exits_2_with_one_line(case, capsys):
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err == line + "\n"
+
+
+def test_run_query_update_reaches_coded_mnp():
+    # The flag configures the whole MNP family: on this run the repair
+    # phase moves coded MNP's completion from 10,564 ms to 14,020 ms.
+    import json
+
+    argv = ["run", "--protocol", "coded_mnp", "--grid", "4x4",
+            "--segments", "1", "--segment-packets", "16", "--seed", "1",
+            "--json"]
+    _, plain = run_cli(argv)
+    _, repaired = run_cli(argv + ["--query-update"])
+    assert json.loads(plain)["completion_ms"] == \
+        pytest.approx(10_563.748350262338)
+    assert json.loads(repaired)["completion_ms"] == \
+        pytest.approx(14_019.876622934518)
 
 
 def test_sweep_protocol_still_defaults_to_mnp():
