@@ -314,7 +314,8 @@ def _build_parser():
     run_p.add_argument("--deadline-min", type=float, default=240.0,
                        help="simulated deadline in minutes (default 240)")
     run_p.add_argument("--query-update", action="store_true",
-                       help="enable MNP's query/update repair phase")
+                       help="enable the query/update repair phase "
+                            "(mnp and coded_mnp only)")
     run_p.add_argument("--json", action="store_true",
                        help="emit the summary as JSON instead of text")
 
@@ -525,19 +526,26 @@ def _build_parser():
 def _cmd_run(args, out):
     from repro.core.config import MNPConfig
     from repro.core.segments import CodeImage
-    from repro.experiments.common import Deployment
+    from repro.experiments.common import MNP_FAMILY, Deployment
     from repro.hardware.mote import MoteConfig
     from repro.net.loss_models import EmpiricalLossModel
     from repro.net.topology import Topology
     from repro.radio.propagation import PropagationModel
 
+    problem = _bad_protocols([args.protocol])
+    if problem:
+        return _usage_error("run", problem)
+    mnp_family = args.protocol in MNP_FAMILY
+    if args.query_update and not mnp_family:
+        return _usage_error(
+            "run", f"--query-update applies only to {', '.join(MNP_FAMILY)}")
     rows, cols = args.grid
     topo = Topology.grid(rows, cols, args.spacing)
     image = CodeImage.random(1, n_segments=args.segments,
                              segment_packets=args.segment_packets,
                              seed=args.seed)
-    config = MNPConfig(query_update=args.query_update) \
-        if args.protocol == "mnp" else None
+    config = MNPConfig(query_update=args.query_update) if mnp_family \
+        else None
     dep = Deployment(
         topo, image=image, protocol=args.protocol, protocol_config=config,
         seed=args.seed,
@@ -1182,6 +1190,9 @@ def _cmd_compare(args, out):
     from repro.experiments.comparison import comparison_report, \
         run_comparison
 
+    problem = _bad_protocols(args.protocols)
+    if problem:
+        return _usage_error("compare", problem)
     rows, cols = args.grid
     outcomes = run_comparison(tuple(args.protocols), seed=args.seed,
                               rows=rows, cols=cols,
