@@ -18,25 +18,23 @@
   Deluge (also usable standalone).
 
 Importing this package registers each protocol with
-:data:`repro.experiments.common.PROTOCOLS`.
+:data:`repro.experiments.common.PROTOCOLS`.  The baselines are fixed
+comparators: each one's parameters are constants on its node class, and
+a node handed a protocol config raises :class:`TypeError`.
 """
 
 from repro.baselines.trickle import TrickleTimer
-from repro.baselines.deluge import DelugeConfig, DelugeNode
+from repro.baselines.deluge import DelugeNode
 from repro.baselines.coded_deluge import CodedDelugeNode
-from repro.baselines.moap import MoapConfig, MoapNode
-from repro.baselines.xnp import XnpConfig, XnpNode
-from repro.baselines.flood import FloodConfig, FloodNode
+from repro.baselines.moap import MoapNode
+from repro.baselines.xnp import XnpNode
+from repro.baselines.flood import FloodNode
 
 __all__ = [
     "TrickleTimer",
-    "DelugeConfig",
     "DelugeNode",
     "CodedDelugeNode",
-    "MoapConfig",
     "MoapNode",
-    "XnpConfig",
     "XnpNode",
-    "FloodConfig",
     "FloodNode",
 ]

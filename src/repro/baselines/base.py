@@ -53,7 +53,21 @@ class BaselineNode(ImageNode):
     signed manifest is *pre-provisioned* by the deployment (a few hundred
     bytes, flashed alongside the golden image); version admission and all
     content checks verify against it.
+
+    Baselines are the paper's fixed comparators: their parameters are
+    class constants, and a node takes no protocol config.
     """
+
+    #: Pause between the data frames of a stream (ms), the same for
+    #: every baseline.
+    data_gap_ms = 15.0
+
+    def __init__(self, mote, config=None, image=None, state=None):
+        if config is not None:
+            raise TypeError(
+                f"{type(self).__name__} takes no protocol config; "
+                f"its parameters are class constants")
+        super().__init__(mote, image=image, state=state)
 
     # ------------------------------------------------------------------
     def store_packet(self, seg_id, packet_id, payload):

@@ -58,28 +58,6 @@ class PageRequest:
         return 2 + 2 + 1 + self.missing.wire_bytes()
 
 
-class DelugeConfig:
-    """Deluge parameters (milliseconds)."""
-
-    def __init__(
-        self,
-        tau_low_ms=2_000.0,
-        tau_high_ms=60_000.0,
-        suppression_k=1,
-        request_backoff_ms=500.0,
-        request_retries=3,
-        data_gap_ms=15.0,
-    ):
-        if request_retries < 1:
-            raise ValueError("request_retries must be >= 1")
-        self.tau_low_ms = tau_low_ms
-        self.tau_high_ms = tau_high_ms
-        self.suppression_k = suppression_k
-        self.request_backoff_ms = request_backoff_ms
-        self.request_retries = request_retries
-        self.data_gap_ms = data_gap_ms
-
-
 class DelugeNode(BaselineNode):
     """One Deluge node.
 
@@ -100,18 +78,26 @@ class DelugeNode(BaselineNode):
         TX: {MAINTAIN},
     }
 
+    #: Trickle's summary interval bounds (ms) and suppression constant.
+    TAU_LOW_MS = 2_000.0
+    TAU_HIGH_MS = 60_000.0
+    SUPPRESSION_K = 1
+    #: A page request waits a uniform draw up to this long (ms), so a
+    #: neighbour asking for the same page can suppress it.
+    REQUEST_BACKOFF_MS = 500.0
+    #: Requests for one page before the node gives up and maintains.
+    REQUEST_RETRIES = 3
+
     # The payload classes _on_frame dispatches on.
     _REQUEST_TYPE = PageRequest
     _DATA_TYPE = DataPacket
 
     def __init__(self, mote, config=None, image=None):
-        super().__init__(mote, image=image, state=self.MAINTAIN)
-        self.config = config or DelugeConfig()
+        super().__init__(mote, config, image, state=self.MAINTAIN)
         self.trickle = TrickleTimer(
             self.sim, mote.rng, self._send_summary,
-            tau_low_ms=self.config.tau_low_ms,
-            tau_high_ms=self.config.tau_high_ms,
-            k=self.config.suppression_k,
+            tau_low_ms=self.TAU_LOW_MS, tau_high_ms=self.TAU_HIGH_MS,
+            k=self.SUPPRESSION_K,
         )
         # RX side
         self._request_timer = mote.new_timer(self._send_request, "dreq")
@@ -158,9 +144,9 @@ class DelugeNode(BaselineNode):
             if self.state == self.MAINTAIN \
                     and not self._request_timer.running:
                 self._request_dest = s.source_id
-                self._requests_left = self.config.request_retries
+                self._requests_left = self.REQUEST_RETRIES
                 self._request_timer.start(
-                    self.mote.rng.uniform(0, self.config.request_backoff_ms)
+                    self.mote.rng.uniform(0, self.REQUEST_BACKOFF_MS)
                 )
         else:
             # They are behind: our next summary will trigger their request.
@@ -272,7 +258,7 @@ class DelugeNode(BaselineNode):
 
     def _on_send_done(self, payload):
         if isinstance(payload, DataPacket) and self.state == self.TX:
-            self._tx_timer.start(self.config.data_gap_ms)
+            self._tx_timer.start(self.data_gap_ms)
 
     # ------------------------------------------------------------------
     def _handle_data(self, msg):

@@ -21,32 +21,26 @@ class FloodAdv(Announcement):
     __slots__ = ()
 
 
-class FloodConfig:
-    """Flooding parameters (milliseconds)."""
-
-    def __init__(self, rebroadcast_window_ms=200.0, data_gap_ms=15.0,
-                 adv_repeats=3, adv_gap_ms=300.0):
-        self.rebroadcast_window_ms = rebroadcast_window_ms
-        self.data_gap_ms = data_gap_ms
-        self.adv_repeats = adv_repeats
-        self.adv_gap_ms = adv_gap_ms
-
-
 class FloodNode(BaselineNode):
     """One flooding node."""
 
+    #: A relay rebroadcasts after a uniform draw up to this long (ms).
+    REBROADCAST_WINDOW_MS = 200.0
+    #: The base announces the image ADV_REPEATS times, ADV_GAP_MS apart.
+    ADV_REPEATS = 3
+    ADV_GAP_MS = 300.0
+
     def __init__(self, mote, config=None, image=None):
-        super().__init__(mote, image=image)
-        self.config = config or FloodConfig()
+        super().__init__(mote, config, image)
         self.is_base = image is not None
         self._outbox = []  # (seg, pkt) pairs awaiting rebroadcast
         self._tx_timer = mote.new_timer(self._send_next, "ftx")
-        self._adv_left = self.config.adv_repeats
+        self._adv_left = self.ADV_REPEATS
 
     def start(self):
         self.mote.wake_radio()
         if self.is_base:
-            self._tx_timer.start(self.config.adv_gap_ms)
+            self._tx_timer.start(self.ADV_GAP_MS)
 
     # ------------------------------------------------------------------
     def _send_next(self):
@@ -54,14 +48,14 @@ class FloodNode(BaselineNode):
             self._adv_left -= 1
             self.send(FloodAdv.of_node(self))
             if self._adv_left > 0:
-                self._tx_timer.start(self.config.adv_gap_ms)
+                self._tx_timer.start(self.ADV_GAP_MS)
             else:
                 self._outbox = [
                     (seg, pkt)
                     for seg in range(1, self.program.n_segments + 1)
                     for pkt in range(self.program.n_packets(seg))
                 ]
-                self._tx_timer.start(self.config.data_gap_ms)
+                self._tx_timer.start(self.data_gap_ms)
                 self.sim.tracer.emit(
                     "proto.sender", node=self.node_id, seg=1, req_ctr=0
                 )
@@ -83,7 +77,7 @@ class FloodNode(BaselineNode):
     def _on_send_done(self, payload):
         if isinstance(payload, DataPacket) and self._outbox \
                 and not self._tx_timer.running:
-            self._tx_timer.start(self.config.data_gap_ms)
+            self._tx_timer.start(self.data_gap_ms)
 
     def _stop_sending_old_version(self):
         # Queued rebroadcasts, and any announcement still due, are of the
@@ -103,7 +97,7 @@ class FloodNode(BaselineNode):
                 # Flood the announcement too, so nodes beyond the base's
                 # range learn the image geometry.
                 self.sim.schedule(
-                    self.mote.rng.uniform(0, self.config.rebroadcast_window_ms),
+                    self.mote.rng.uniform(0, self.REBROADCAST_WINDOW_MS),
                     self._relay_adv,
                 )
             return
@@ -119,7 +113,7 @@ class FloodNode(BaselineNode):
             self._outbox.append((msg.seg_id, msg.packet_id))
             if not self._tx_timer.running:
                 self._tx_timer.start(
-                    self.mote.rng.uniform(0, self.config.rebroadcast_window_ms)
+                    self.mote.rng.uniform(0, self.REBROADCAST_WINDOW_MS)
                 )
             self.advance_progress()
 

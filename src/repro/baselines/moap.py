@@ -64,30 +64,6 @@ class Nak:
         return 2 + 2 + 1 + self.missing.wire_bytes()
 
 
-class MoapConfig:
-    """MOAP parameters (milliseconds)."""
-
-    def __init__(
-        self,
-        publish_interval_ms=2_000.0,
-        publish_rounds=4,
-        publish_backoff_factor=2.0,
-        publish_interval_max_ms=60_000.0,
-        subscribe_backoff_ms=400.0,
-        data_gap_ms=15.0,
-        nak_rounds=3,
-        defer_ms=3_000.0,
-    ):
-        self.publish_interval_ms = publish_interval_ms
-        self.publish_rounds = publish_rounds
-        self.publish_backoff_factor = publish_backoff_factor
-        self.publish_interval_max_ms = publish_interval_max_ms
-        self.subscribe_backoff_ms = subscribe_backoff_ms
-        self.data_gap_ms = data_gap_ms
-        self.nak_rounds = nak_rounds
-        self.defer_ms = defer_ms
-
-
 class MoapNode(BaselineNode):
     """One MOAP node."""
 
@@ -104,12 +80,26 @@ class MoapNode(BaselineNode):
         REPAIR: {PUBLISH},
     }
 
+    #: A publisher sends PUBLISH_ROUNDS offers about PUBLISH_INTERVAL_MS
+    #: apart (ms, jittered by half either way); with no subscriber, the
+    #: interval grows by PUBLISH_BACKOFF_FACTOR up to PUBLISH_INTERVAL_MAX_MS.
+    PUBLISH_INTERVAL_MS = 2_000.0
+    PUBLISH_ROUNDS = 4
+    PUBLISH_BACKOFF_FACTOR = 2.0
+    PUBLISH_INTERVAL_MAX_MS = 60_000.0
+    #: A subscriber answers a publish after a uniform draw up to this long
+    #: (ms); the repair and NAK windows are multiples of it.
+    SUBSCRIBE_BACKOFF_MS = 400.0
+    #: NAK rounds a receiver tries before it waits for the next publish.
+    NAK_ROUNDS = 3
+    #: How long (ms, jittered) a publisher defers after overhearing another.
+    DEFER_MS = 3_000.0
+
     def __init__(self, mote, config=None, image=None):
-        super().__init__(mote, image=image,
+        super().__init__(mote, config, image,
                          state=self.LISTEN if image is None else self.PUBLISH)
-        self.config = config or MoapConfig()
         self._publish_timer = mote.new_timer(self._on_publish_timer, "mpub")
-        self._publish_interval = self.config.publish_interval_ms
+        self._publish_interval = self.PUBLISH_INTERVAL_MS
         self._publishes_sent = 0
         self._subscribers = set()
         # Streaming
@@ -133,19 +123,19 @@ class MoapNode(BaselineNode):
     # Publisher side
     # ------------------------------------------------------------------
     def _schedule_publish(self, defer=False):
-        base = self.config.defer_ms if defer else self._publish_interval
+        base = self.DEFER_MS if defer else self._publish_interval
         self._publish_timer.start(base * self.mote.rng.uniform(0.5, 1.5))
 
     def _on_publish_timer(self):
         if self.state != self.PUBLISH:
             return
-        if self._publishes_sent >= self.config.publish_rounds:
+        if self._publishes_sent >= self.PUBLISH_ROUNDS:
             if self._subscribers:
                 self._begin_stream()
                 return
             self._publish_interval = min(
-                self._publish_interval * self.config.publish_backoff_factor,
-                self.config.publish_interval_max_ms,
+                self._publish_interval * self.PUBLISH_BACKOFF_FACTOR,
+                self.PUBLISH_INTERVAL_MAX_MS,
             )
             self._publishes_sent = 0
         self.send(Publish.of_node(self))
@@ -172,7 +162,7 @@ class MoapNode(BaselineNode):
         if self._stream_seg > self.program.n_segments:
             self.send(EndOfImage(self.node_id))
             self._set_state(self.REPAIR)
-            self._repair_timer.start(4 * self.config.subscribe_backoff_ms
+            self._repair_timer.start(4 * self.SUBSCRIBE_BACKOFF_MS
                                      + 20 * self._per_packet_ms())
             return
         packet = DataPacket(
@@ -187,7 +177,7 @@ class MoapNode(BaselineNode):
 
     def _send_next_repair(self):
         if not self._repair_queue:
-            self._repair_timer.start(4 * self.config.subscribe_backoff_ms
+            self._repair_timer.start(4 * self.SUBSCRIBE_BACKOFF_MS
                                      + 20 * self._per_packet_ms())
             return
         seg_id, packet_id = self._repair_queue.pop(0)
@@ -215,7 +205,7 @@ class MoapNode(BaselineNode):
             self.parent = pub.source_id
             if not self._subscribe_timer.running:
                 self._subscribe_timer.start(
-                    self.mote.rng.uniform(0, self.config.subscribe_backoff_ms)
+                    self.mote.rng.uniform(0, self.SUBSCRIBE_BACKOFF_MS)
                 )
         elif self.state == self.PUBLISH and pub.source_id != self.node_id:
             # Another publisher nearby: defer (MOAP's sender suppression).
@@ -235,7 +225,7 @@ class MoapNode(BaselineNode):
         if self.state in (self.PUBLISH, self.STREAM):
             self._subscribers.add(sub.requester_id)
             if self.state == self.PUBLISH and \
-                    self._publishes_sent >= self.config.publish_rounds:
+                    self._publishes_sent >= self.PUBLISH_ROUNDS:
                 self._begin_stream()
 
     def _handle_data(self, msg):
@@ -258,7 +248,7 @@ class MoapNode(BaselineNode):
         if self.state != self.LISTEN or self.program is None \
                 or self.has_full_image or msg.source_id != self.parent:
             return
-        self._nak_rounds_left = self.config.nak_rounds
+        self._nak_rounds_left = self.NAK_ROUNDS
         self._send_nak()
 
     def _first_incomplete_segment(self):
@@ -274,7 +264,7 @@ class MoapNode(BaselineNode):
         nak = Nak(self.node_id, self.parent, seg_id,
                   self._missing_for(seg_id).copy())
         self.send(nak)
-        self._nak_timer.start(2 * self.config.subscribe_backoff_ms
+        self._nak_timer.start(2 * self.SUBSCRIBE_BACKOFF_MS
                               + 40 * self._per_packet_ms())
 
     def _on_nak_timer(self):
@@ -324,7 +314,7 @@ class MoapNode(BaselineNode):
         self._subscribe_timer.stop()
         self._nak_timer.stop()
         self._publishes_sent = 0
-        self._publish_interval = self.config.publish_interval_ms
+        self._publish_interval = self.PUBLISH_INTERVAL_MS
         self._drop_image_pass(
             self.PUBLISH if self.has_full_image else self.LISTEN)
         super().power_cycle()
@@ -334,7 +324,7 @@ class MoapNode(BaselineNode):
         self._nak_timer.stop()
         self._subscribe_timer.stop()
         self._publishes_sent = 0
-        self._publish_interval = self.config.publish_interval_ms
+        self._publish_interval = self.PUBLISH_INTERVAL_MS
         self._subscribers.clear()
         self._schedule_publish()
 
@@ -342,7 +332,7 @@ class MoapNode(BaselineNode):
     def _on_send_done(self, payload):
         if isinstance(payload, DataPacket) and \
                 self.state in (self.STREAM, self.REPAIR):
-            self._stream_timer.start(self.config.data_gap_ms)
+            self._stream_timer.start(self.data_gap_ms)
 
     def _on_frame(self, frame):
         msg = frame.payload

@@ -47,24 +47,6 @@ class XnpNak:
         return 2 + 1 + self.missing.wire_bytes()
 
 
-class XnpConfig:
-    """XNP parameters (milliseconds)."""
-
-    def __init__(
-        self,
-        adv_repeats=3,
-        adv_gap_ms=500.0,
-        data_gap_ms=15.0,
-        query_rounds=5,
-        nak_backoff_ms=300.0,
-    ):
-        self.adv_repeats = adv_repeats
-        self.adv_gap_ms = adv_gap_ms
-        self.data_gap_ms = data_gap_ms
-        self.query_rounds = query_rounds
-        self.nak_backoff_ms = nak_backoff_ms
-
-
 class XnpNode(BaselineNode):
     """One XNP node; only the base station ever transmits data."""
 
@@ -83,17 +65,25 @@ class XnpNode(BaselineNode):
         RECEIVE: set(),
     }
 
+    #: The base announces the image ADV_REPEATS times, ADV_GAP_MS apart.
+    ADV_REPEATS = 3
+    ADV_GAP_MS = 500.0
+    #: Query rounds after the broadcast pass.
+    QUERY_ROUNDS = 5
+    #: A node NAKs a query after a uniform draw up to this long (ms), and
+    #: spaces its NAKs this far apart; a query collects for three times it.
+    NAK_BACKOFF_MS = 300.0
+
     def __init__(self, mote, config=None, image=None):
         super().__init__(
-            mote, image=image,
+            mote, config, image,
             state=self.RECEIVE if image is None else self.ANNOUNCE,
         )
-        self.config = config or XnpConfig()
         self.is_base = image is not None
-        self._adv_left = self.config.adv_repeats
+        self._adv_left = self.ADV_REPEATS
         self._timer = mote.new_timer(self._on_timer, "xnp")
         self._stream = []  # (seg, pkt) pairs left to send this pass
-        self._query_rounds_left = self.config.query_rounds
+        self._query_rounds_left = self.QUERY_ROUNDS
         self._nak_queue = []
         self._nak_timer = mote.new_timer(self._send_nak, "xnak")
 
@@ -101,7 +91,7 @@ class XnpNode(BaselineNode):
     def start(self):
         self.mote.wake_radio()
         if self.is_base:
-            self._timer.start(self.config.adv_gap_ms)
+            self._timer.start(self.ADV_GAP_MS)
 
     def power_cycle(self):
         # The timers, the pass being sent and the NAKs to send live in
@@ -112,8 +102,8 @@ class XnpNode(BaselineNode):
         self._stream = []
         self._nak_queue = []
         if self.is_base:
-            self._adv_left = self.config.adv_repeats
-            self._query_rounds_left = self.config.query_rounds
+            self._adv_left = self.ADV_REPEATS
+            self._query_rounds_left = self.QUERY_ROUNDS
             self._reset_state(self.ANNOUNCE)
         super().power_cycle()
 
@@ -127,7 +117,7 @@ class XnpNode(BaselineNode):
             if self._adv_left > 0:
                 self._adv_left -= 1
                 self.send(XnpAdv.of_node(self))
-                self._timer.start(self.config.adv_gap_ms)
+                self._timer.start(self.ADV_GAP_MS)
             else:
                 self._set_state(self.BROADCAST)
                 self._stream = [
@@ -164,7 +154,7 @@ class XnpNode(BaselineNode):
         self._query_rounds_left -= 1
         self.send(XnpQuery(self.node_id))
         self._set_state(self.COLLECT)
-        self._timer.start(3 * self.config.nak_backoff_ms)
+        self._timer.start(3 * self.NAK_BACKOFF_MS)
 
     # ------------------------------------------------------------------
     # Node side
@@ -193,7 +183,7 @@ class XnpNode(BaselineNode):
         ]
         if self._nak_queue:
             self._nak_timer.start(
-                self.mote.rng.uniform(0, self.config.nak_backoff_ms)
+                self.mote.rng.uniform(0, self.NAK_BACKOFF_MS)
             )
 
     def _send_nak(self):
@@ -203,7 +193,7 @@ class XnpNode(BaselineNode):
         nak = XnpNak(self.node_id, seg_id, self._missing_for(seg_id).copy())
         self.send(nak)
         if self._nak_queue:
-            self._nak_timer.start(self.config.nak_backoff_ms)
+            self._nak_timer.start(self.NAK_BACKOFF_MS)
 
     def _handle_nak(self, nak):
         if self.state not in (self.COLLECT, self.BROADCAST):
@@ -220,7 +210,7 @@ class XnpNode(BaselineNode):
     # ------------------------------------------------------------------
     def _on_send_done(self, payload):
         if isinstance(payload, DataPacket) and self.state == self.BROADCAST:
-            self._timer.start(self.config.data_gap_ms)
+            self._timer.start(self.data_gap_ms)
 
     def _on_frame(self, frame):
         msg = frame.payload

@@ -23,6 +23,7 @@ from repro.core.states import register_edges
 from repro.hardware.bootloader import InstallResult
 from repro.hardware.eeprom import EepromError
 from repro.hardware.energy import EnergyModel
+from repro.radio.channel import MICA2_BITRATE_KBPS
 from repro.radio.packet import PHY_OVERHEAD_BYTES
 from repro.sim.rng import derive_rng
 
@@ -287,10 +288,11 @@ class ImageNode:
         )
 
     def _per_packet_ms(self):
-        """Expected time to put one data packet on the air, incl. pacing."""
+        """Expected time to put one data packet on the air, incl. the
+        protocol's ``data_gap_ms`` pacing."""
         wire = self._sample_data_packet().wire_bytes() + PHY_OVERHEAD_BYTES
-        airtime = wire * 8.0 / self.mote.channel.bitrate_kbps
-        return airtime + self.config.data_gap_ms
+        airtime = wire * 8.0 / MICA2_BITRATE_KBPS
+        return airtime + self.data_gap_ms
 
     def _segment_time_ms(self):
         """Expected time to put one full segment on the air."""

@@ -196,6 +196,12 @@ class MNPNode(ImageNode):
         self._adv_interval = self.config.adv_interval_ms
         super().power_cycle()
 
+    @property
+    def data_gap_ms(self):
+        """Pause between the data frames of a stream (ms): MNP's is a
+        config field, which the conformance generator varies."""
+        return self.config.data_gap_ms
+
     def battery_fraction(self):
         """Remaining battery as a fraction of capacity."""
         battery = self.mote.battery

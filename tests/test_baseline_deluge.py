@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.baselines.deluge import DelugeConfig
+from repro.baselines.deluge import DelugeNode, Summary
 from repro.core.segments import CodeImage
 from repro.experiments.common import Deployment
 from repro.net.loss_models import PerfectLossModel, UniformLossModel
 from repro.net.topology import Topology
 from repro.radio.propagation import PropagationModel
 from repro.sim.kernel import MINUTE
+from tests.conftest import make_world
 
 
 def run(topo, image, seed=0, loss=None, deadline_min=30):
@@ -58,10 +59,17 @@ def test_radio_always_on():
 
 
 def test_request_retries_bounded():
-    cfg = DelugeConfig(request_retries=2)
-    assert cfg.request_retries == 2
-    with pytest.raises(ValueError):
-        DelugeConfig(request_retries=0)
+    # A node whose page requests go unanswered asks REQUEST_RETRIES
+    # times, then gives up and maintains.
+    world = make_world([(0.0, 0.0), (10.0, 0.0)])
+    node = DelugeNode(world.motes[1])
+    node.start()
+    node._handle_summary(Summary(0, 1, 2, 8, 8, gamma=2))  # node 0 is off
+    world.sim.run(until=10 * MINUTE)
+    requests = [kind for _, _, kind in world.channel.tx_log
+                if kind == "PageRequest"]
+    assert len(requests) == DelugeNode.REQUEST_RETRIES
+    assert node.state == DelugeNode.MAINTAIN
 
 
 def test_trickle_suppression_reduces_summaries():

@@ -183,7 +183,7 @@ def test_deluge_power_cycle_returns_to_maintain():
     world, base, node = pair(DelugeNode, image=image2())
     node.start()
     node._handle_summary(summary(0, gamma=2))
-    world.sim.run(until=world.sim.now + node.config.request_backoff_ms)
+    world.sim.run(until=world.sim.now + DelugeNode.REQUEST_BACKOFF_MS)
     assert node.state == DelugeNode.RX  # requested page 1 from node 0
     node.mote.kill()
     world.sim.run(until=world.sim.now + 60_000)  # its RX timer dies
@@ -279,7 +279,7 @@ def test_moap_end_of_image_triggers_nak_when_missing():
     node._handle_end_of_image(EndOfImage(0))
     world.sim.run(until=world.sim.now + 5_000.0)
     # a NAK went out (first incomplete segment is 1)
-    assert node._nak_rounds_left <= node.config.nak_rounds
+    assert node._nak_rounds_left <= MoapNode.NAK_ROUNDS
 
 
 def test_moap_adopting_newer_version_stops_streaming():
@@ -414,8 +414,8 @@ def test_xnp_power_cycle_returns_the_base_to_announce():
     # base used to come back in BROADCAST, where no timer moves it on.
     world, base, node = pair(XnpNode, image=image2())
     base.start()
-    world.sim.run(until=base.config.adv_gap_ms
-                  * (base.config.adv_repeats + 1) + 1.0)
+    world.sim.run(until=XnpNode.ADV_GAP_MS
+                  * (XnpNode.ADV_REPEATS + 1) + 1.0)
     assert base.state == XnpNode.BROADCAST and base._stream
     base.mote.kill()
     world.sim.run(until=world.sim.now + 60_000)  # its timers die
@@ -425,8 +425,8 @@ def test_xnp_power_cycle_returns_the_base_to_announce():
     assert base.state_changes[-1][1:] == (XnpNode.BROADCAST,
                                           XnpNode.ANNOUNCE)
     assert base._stream == [] and base._nak_queue == []
-    assert base._adv_left == base.config.adv_repeats
-    assert base._query_rounds_left == base.config.query_rounds
+    assert base._adv_left == XnpNode.ADV_REPEATS
+    assert base._query_rounds_left == XnpNode.QUERY_ROUNDS
     assert base._timer.running
 
 
@@ -499,3 +499,17 @@ def test_baseline_adopting_newer_version_resets_got_code_time(cls, teach):
     assert node.program.program_id == 2
     assert node.rvd_seg == 0
     assert node.got_code_time is None
+
+
+@pytest.mark.parametrize("protocol", ["deluge", "coded_deluge", "moap",
+                                      "xnp", "flood"])
+def test_baseline_refuses_a_protocol_config(protocol):
+    # Baselines have no knobs: a config handed to one would be ignored
+    # without a word.
+    from repro.core.config import MNPConfig
+    from repro.experiments.common import Deployment
+    from repro.net.topology import Topology
+
+    with pytest.raises(TypeError, match="takes no protocol config"):
+        Deployment(Topology.line(2, 10), protocol=protocol,
+                   protocol_config=MNPConfig())

@@ -42,13 +42,13 @@ def test_multihop_coverage_fails():
     assert not dep.nodes[4].has_full_image
 
 
-def test_nak_repair_recovers_losses():
-    from repro.baselines.xnp import XnpConfig
+def test_nak_repair_recovers_losses(monkeypatch):
+    from repro.baselines.xnp import XnpNode
 
+    monkeypatch.setattr(XnpNode, "QUERY_ROUNDS", 10)
     image = image2()
     dep = Deployment(
         Topology.line(2, 10), image=image, protocol="xnp", seed=3,
-        protocol_config=XnpConfig(query_rounds=10),
         loss_model=UniformLossModel(1e-3),
         propagation=PropagationModel.outdoor(25.0),
     )
