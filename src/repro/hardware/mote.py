@@ -9,7 +9,7 @@ never talk to the channel directly.
 from repro.hardware.battery import Battery
 from repro.hardware.bootloader import Bootloader
 from repro.hardware.eeprom import Eeprom
-from repro.radio.mac import CsmaMac, MacConfig
+from repro.radio.mac import CsmaMac
 from repro.radio.radio import Radio
 from repro.sim.rng import derive_rng
 from repro.sim.timers import Timer
@@ -18,24 +18,16 @@ from repro.sim.timers import Timer
 class MoteConfig:
     """Hardware parameters shared by all motes in a deployment.
 
+    ``power_level`` is the TinyOS transmit power (1..255).
     ``mac_factory`` swaps the medium-access layer: a callable
     ``(sim, radio, channel, seed) -> mac`` returning any object with the
     CsmaMac client surface (used to run MNP over TDMA, §6).  When None,
-    the default CSMA MAC is built from ``mac`` (a MacConfig).
+    the mote builds the CSMA MAC.  Every mote has the Mica-2's EEPROM and
+    battery (the :class:`Eeprom` and :class:`Battery` defaults).
     """
 
-    def __init__(
-        self,
-        power_level=255,
-        eeprom_bytes=512 * 1024,
-        battery_capacity_nah=2.8e9,
-        mac=None,
-        mac_factory=None,
-    ):
+    def __init__(self, power_level=255, mac_factory=None):
         self.power_level = power_level
-        self.eeprom_bytes = eeprom_bytes
-        self.battery_capacity_nah = battery_capacity_nah
-        self.mac = mac or MacConfig()
         self.mac_factory = mac_factory
 
 
@@ -56,10 +48,9 @@ class Mote:
         if config.mac_factory is not None:
             self.mac = config.mac_factory(sim, self.radio, channel, seed)
         else:
-            self.mac = CsmaMac(sim, self.radio, channel, config.mac,
-                               seed=seed)
-        self.eeprom = Eeprom(config.eeprom_bytes)
-        self.battery = Battery(config.battery_capacity_nah)
+            self.mac = CsmaMac(sim, self.radio, channel, seed=seed)
+        self.eeprom = Eeprom()
+        self.battery = Battery()
         self.bootloader = Bootloader(sim=sim, node_id=node_id)
         self.rng = derive_rng(seed, "mote", node_id)
         self.rebooted_at = None

@@ -17,7 +17,7 @@ from repro.radio.packet import BROADCAST, Frame
 from repro.radio.propagation import PropagationModel
 from repro.radio.radio import Radio, RadioState
 from repro.radio.channel import Channel
-from repro.radio.mac import CsmaMac, MacConfig
+from repro.radio.mac import CsmaMac
 from repro.radio.tdma import TdmaMac, TdmaSchedule, build_tdma_schedule
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "RadioState",
     "Channel",
     "CsmaMac",
-    "MacConfig",
     "TdmaMac",
     "TdmaSchedule",
     "build_tdma_schedule",

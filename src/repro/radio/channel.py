@@ -89,13 +89,11 @@ class Channel:
         topology,
         loss_model,
         propagation,
-        bitrate_kbps=MICA2_BITRATE_KBPS,
         seed=0,
     ):
         self.sim = sim
         self.topology = topology
         self.propagation = propagation
-        self.bitrate_kbps = bitrate_kbps
         self._rng = derive_rng(seed, "channel")
         self._radios = {}
         self._neighbor_cache = {}
@@ -237,7 +235,7 @@ class Channel:
         return cached
 
     def airtime_ms(self, frame):
-        return frame.on_air_bytes * 8.0 / self.bitrate_kbps
+        return frame.on_air_bytes * 8.0 / MICA2_BITRATE_KBPS
 
     # ------------------------------------------------------------------
     # Carrier sense

@@ -56,6 +56,10 @@ CACHE_VERSION = 1
 #: Default manifest location (relative to the working directory).
 DEFAULT_CACHE_DIR = os.path.join("benchmarks", "cache")
 
+#: Wall-clock seconds between "still running" lines while waiting on the
+#: fleet.
+HEARTBEAT_S = 15.0
+
 #: experiment name -> "module:function"; the function takes a RunSpec and
 #: returns a JSON-ready metrics dict.  Import paths (rather than function
 #: objects) keep specs picklable and workers start-method agnostic.
@@ -225,19 +229,15 @@ class Runner:
         entirely (library callers default to no cache; the CLI points at
         ``benchmarks/cache``).
     progress:
-        ``fn(line)`` receiving human-readable progress/heartbeat lines;
-        ``None`` silences them.
-    heartbeat_s:
-        Wall-clock period of "still running" lines while waiting on the
-        fleet.
+        ``fn(line)`` receiving human-readable progress/heartbeat lines
+        (one every :data:`HEARTBEAT_S` while the fleet is busy); ``None``
+        silences them.
     """
 
-    def __init__(self, workers=0, cache_dir=None, progress=None,
-                 heartbeat_s=15.0):
+    def __init__(self, workers=0, cache_dir=None, progress=None):
         self.workers = max(0, int(workers))
         self.cache_dir = cache_dir
         self.progress = progress
-        self.heartbeat_s = heartbeat_s
         self.stats = RunnerStats()
 
     # ------------------------------------------------------------------
@@ -385,7 +385,7 @@ class Runner:
             started = time.perf_counter()
             while waiting:
                 finished, waiting = wait(
-                    waiting, timeout=self.heartbeat_s,
+                    waiting, timeout=HEARTBEAT_S,
                     return_when=FIRST_COMPLETED,
                 )
                 if not finished:
