@@ -143,14 +143,11 @@ class TdmaMac:
     def pending(self):
         return len(self._queue) + (self._in_flight is not None)
 
-    def cancel_pending(self):
+    def reset(self):
         self._queue.clear()
         if self._slot_event is not None:
             self.sim.cancel(self._slot_event)
             self._slot_event = None
-
-    def reset(self):
-        self.cancel_pending()
         self._in_flight = None
 
     # ------------------------------------------------------------------
