@@ -16,7 +16,7 @@ Every model declares ``is_time_varying``: False means ``ber`` is a pure
 function of ``(src, dst, distance, range)`` for the lifetime of a run, so
 the channel may cache per-edge link budgets (see
 :class:`repro.radio.channel.Channel`); True (e.g.
-:class:`IntermittentLossModel`, whose answer depends on the simulation
+:class:`DegradedLossModel`, whose answer depends on the simulation
 clock) forces re-evaluation on every frame.  New models without the
 attribute are conservatively treated as time-varying.
 """
@@ -129,45 +129,6 @@ class TabulatedLossModel:
         return min(0.5, self.mean_ber(distance_ft) * self._factor(src, dst))
 
 
-class IntermittentLossModel:
-    """Wrap a base loss model with scheduled outage windows.
-
-    During an outage every affected link's BER saturates (0.5: nothing
-    decodes), modeling weather fades, interference bursts, or jamming.
-    Outages apply to all links, or only to links touching the given node
-    set.  The wrapped model needs the simulator clock, so construct it
-    with the deployment's :class:`~repro.sim.kernel.Simulator`.
-    """
-
-    is_time_varying = True  # BER depends on the simulation clock
-
-    def __init__(self, sim, base_model, outages, nodes=None):
-        """``outages`` is an iterable of ``(start_ms, end_ms)`` windows;
-        ``nodes`` (optional) restricts the blackout to links whose source
-        or destination is in the set."""
-        self.sim = sim
-        self.base = base_model
-        self.outages = sorted(tuple(w) for w in outages)
-        for start, end in self.outages:
-            if end <= start:
-                raise ValueError(f"empty outage window ({start}, {end})")
-        self.nodes = frozenset(nodes) if nodes is not None else None
-        self.blacked_out_packets = 0
-
-    def in_outage(self, src=None, dst=None):
-        if self.nodes is not None and \
-                not ({src, dst} & self.nodes):
-            return False
-        now = self.sim.now
-        return any(start <= now < end for start, end in self.outages)
-
-    def ber(self, src, dst, distance_ft, range_ft):
-        if self.in_outage(src, dst):
-            self.blacked_out_packets += 1
-            return 0.5
-        return self.base.ber(src, dst, distance_ft, range_ft)
-
-
 def _in_windows(windows, now):
     return any(start <= now < end for start, end in windows)
 
@@ -185,8 +146,8 @@ class DegradedLossModel:
 
     Inside a window every affected link's BER is multiplied by
     ``ber_factor`` and floored at ``ber_floor`` (capped at 0.5), modeling
-    rain fade, co-channel interference, or antenna damage -- degradation
-    rather than the total blackout of :class:`IntermittentLossModel`.
+    rain fade, co-channel interference, or antenna damage; a floor of 0.5
+    is a total blackout (nothing decodes).
     ``nodes`` (optional) restricts the effect to links whose source or
     destination is in the set.  Built for the fault-injection subsystem
     (:mod:`repro.faults`); deterministic given the simulation clock.

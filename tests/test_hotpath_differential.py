@@ -206,12 +206,12 @@ class TestLinkCacheDeterminism:
         assert channel.link_cache_misses == 0
 
     def test_time_varying_model_disables_cache(self):
-        from repro.net.loss_models import IntermittentLossModel
+        from repro.net.loss_models import DegradedLossModel
 
         sim = Simulator(seed=0)
         topology = Topology.grid(2, 2, 10.0)
-        model = IntermittentLossModel(sim, EmpiricalLossModel(seed=0),
-                                      outages=[(0.0, 1000.0)])
+        model = DegradedLossModel(sim, EmpiricalLossModel(seed=0),
+                                  [(0.0, 1000.0)], ber_floor=0.5)
         channel = Channel(sim, topology, model,
                           PropagationModel(25.0, 3.0), seed=0)
         assert not channel.link_cache_enabled

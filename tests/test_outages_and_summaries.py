@@ -1,5 +1,6 @@
-"""Tests for channel outage injection, RunResult summaries, and the
-wavefront speed estimator."""
+"""Tests for channel outages (link degradation windows whose BER floor
+of 0.5 lets nothing decode), RunResult summaries, and the wavefront
+speed estimator."""
 
 import json
 
@@ -7,7 +8,8 @@ import pytest
 
 from repro.core.segments import CodeImage
 from repro.experiments.common import Deployment
-from repro.net.loss_models import IntermittentLossModel, PerfectLossModel
+from repro.faults import FaultController, FaultPlan
+from repro.net.loss_models import DegradedLossModel, PerfectLossModel
 from repro.net.topology import Topology
 from repro.radio.propagation import PropagationModel
 from repro.sim.kernel import MINUTE, SECOND, Simulator
@@ -24,26 +26,34 @@ def build(nodes=3, seed=0, n_segments=1):
     return dep, image
 
 
+def black_out(dep, start_ms, end_ms, nodes=None):
+    """Saturate the BER of every (or the given nodes') link inside the
+    window: a link degradation with a 0.5 floor."""
+    plan = FaultPlan().link_degradation(start_ms, end_ms, ber_factor=1.0,
+                                        ber_floor=0.5, nodes=nodes)
+    FaultController(dep, plan).install()
+
+
 # ----------------------------------------------------------------------
-# IntermittentLossModel
+# Outage windows
 # ----------------------------------------------------------------------
 def test_outage_saturates_ber():
     sim = Simulator()
-    model = IntermittentLossModel(sim, PerfectLossModel(),
-                                  outages=[(100.0, 200.0)])
+    model = DegradedLossModel(sim, PerfectLossModel(), [(100.0, 200.0)],
+                              ber_floor=0.5)
     sim.now = 50.0
     assert model.ber(0, 1, 5.0, 25.0) == 0.0
     sim.now = 150.0
     assert model.ber(0, 1, 5.0, 25.0) == 0.5
-    assert model.blacked_out_packets == 1
+    assert model.degraded_packets == 1
     sim.now = 200.0
     assert model.ber(0, 1, 5.0, 25.0) == 0.0  # end is exclusive
 
 
 def test_outage_node_scoping():
     sim = Simulator()
-    model = IntermittentLossModel(sim, PerfectLossModel(),
-                                  outages=[(0.0, 100.0)], nodes={7})
+    model = DegradedLossModel(sim, PerfectLossModel(), [(0.0, 100.0)],
+                              ber_floor=0.5, nodes={7})
     sim.now = 50.0
     assert model.ber(7, 1, 5.0, 25.0) == 0.5
     assert model.ber(1, 7, 5.0, 25.0) == 0.5
@@ -53,25 +63,24 @@ def test_outage_node_scoping():
 def test_outage_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
-        IntermittentLossModel(sim, PerfectLossModel(),
-                              outages=[(100.0, 100.0)])
+        DegradedLossModel(sim, PerfectLossModel(), [(100.0, 100.0)])
 
 
 def test_dissemination_rides_out_a_blackout():
     dep, image = build(seed=3, n_segments=2)
     # Black out the whole channel for 30 s early in the run.
-    dep.inject_outages([(5 * SECOND, 35 * SECOND)])
+    black_out(dep, 5 * SECOND, 35 * SECOND)
     res = dep.run_to_completion(deadline_ms=60 * MINUTE)
     assert res.all_complete
     assert res.images_intact(image)
-    assert dep.loss_model.blacked_out_packets > 0
+    assert dep.loss_model.degraded_packets > 0
     # The blackout cost time: completion lands after the window.
     assert res.completion_time_ms > 35 * SECOND
 
 
 def test_scoped_outage_only_delays_affected_branch():
     dep, image = build(nodes=4, seed=4)
-    dep.inject_outages([(0.0, 20 * SECOND)], nodes={3})
+    black_out(dep, 0.0, 20 * SECOND, nodes={3})
     res = dep.run_to_completion(deadline_ms=60 * MINUTE)
     assert res.all_complete
     times = res.got_code_times_ms()
