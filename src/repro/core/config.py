@@ -170,33 +170,7 @@ class MNPConfig:
 
     def replace(self, **overrides):
         """A copy with the given fields changed (for ablation sweeps)."""
-        fields = {
-            name: getattr(self, name)
-            for name in (
-                "advertise_count",
-                "adv_interval_ms",
-                "adv_backoff_factor",
-                "adv_interval_max_ms",
-                "request_delay_ms",
-                "data_gap_ms",
-                "sleep_factor",
-                "download_timeout_factor",
-                "query_update",
-                "repair_rounds",
-                "lower_seg_min_requests",
-                "idle_sleep",
-                "pipelining",
-                "large_segments",
-                "sender_selection",
-                "sleep_on_loss",
-                "forward_vector",
-                "battery_aware_power",
-                "auto_reboot",
-                "fail_backoff_base_ms",
-                "fail_backoff_factor",
-                "fail_backoff_max_ms",
-            )
-        }
+        fields = dict(vars(self))
         unknown = set(overrides) - set(fields)
         if unknown:
             raise TypeError(f"unknown MNPConfig fields: {sorted(unknown)}")
