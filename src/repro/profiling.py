@@ -17,10 +17,10 @@ Each workload returns a JSON-ready dict with the executed event count,
 wall-clock seconds, events/sec, and the channel's hot-path counters;
 :func:`run_profile` aggregates the phases.  Workloads are deterministic
 per seed -- the event counts and embedded ``checks`` values are
-bit-stable, which the perf-smoke CI job and the benchmark suite rely on
-(wall-clock varies with the machine; virtual outcomes must not).
+bit-stable, and ``tests/test_profile_outcomes.py`` pins them (wall-clock
+varies with the machine; virtual outcomes must not).
 
-Used by ``python -m repro profile`` and ``benchmarks/perf/bench_hotpath``.
+Used by ``python -m repro profile``.
 """
 
 import time
