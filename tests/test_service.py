@@ -106,6 +106,23 @@ def test_submit_poll_fetch_round_trip(tmp_path, workers):
     asyncio.run(_serve(tmp_path, workers, body))
 
 
+def test_misspelled_override_fails_the_job_and_caches_nothing(tmp_path):
+    # The executor takes its overrides as keywords, so a key it does not
+    # take fails the job instead of running (and caching) the default.
+    async def body(svc, host, port):
+        client = ServiceClient(host, port)
+        try:
+            submitted = await client.submit(probe_payload(seed=11, rowz=3))
+            record = await client.wait(submitted["job"], timeout_s=60)
+        finally:
+            await client.close()
+        assert record["status"] == "failed"
+        assert "rowz" in record["error"]
+        assert list((tmp_path / "cache").glob("*.json")) == []
+
+    asyncio.run(_serve(tmp_path, 1, body))
+
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_duplicate_submissions_share_one_execution(tmp_path, workers):
     async def body(svc, host, port):
