@@ -24,12 +24,15 @@ from repro.sim.kernel import MINUTE, SECOND
 def run_simulation_grid(rows=None, cols=None, n_segments=None,
                         segment_packets=None, seed=0, config=None,
                         protocol="mnp", deadline_min=480):
-    """One large-grid dissemination run at the current REPRO_SCALE."""
+    """One large-grid dissemination run; a size left None is the current
+    REPRO_SCALE's."""
     scale = current_scale()
     dep = grid_deployment(
-        rows or scale.grid[0], cols or scale.grid[1], protocol,
-        n_segments or scale.n_segments,
-        segment_packets or scale.segment_packets, seed, config,
+        scale.grid[0] if rows is None else rows,
+        scale.grid[1] if cols is None else cols, protocol,
+        scale.n_segments if n_segments is None else n_segments,
+        scale.segment_packets if segment_packets is None
+        else segment_packets, seed, config,
     )
     return dep.run_to_completion(deadline_ms=deadline_min * MINUTE)
 

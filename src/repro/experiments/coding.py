@@ -18,13 +18,8 @@ Smaller control frames see proportionally better odds, exactly as on a
 real radio.
 """
 
-from repro.core.config import MNPConfig
-from repro.experiments.common import MNP_FAMILY, RANGE_FT, SPACING_FT, \
-    Deployment
+from repro.experiments.common import SPACING_FT, grid_deployment
 from repro.net.loss_models import PerfectLossModel, UniformLossModel
-from repro.net.topology import Topology
-from repro.radio.propagation import PropagationModel
-from repro.core.segments import CodeImage
 from repro.sim.kernel import MINUTE
 
 #: Loss percentages of the recorded sweep (EXPERIMENTS.md).
@@ -55,21 +50,11 @@ def run_coding_cell(protocol, loss_pct, seed, rows=5, cols=5,
                     deadline_min=480.0, config=None):
     """One cell of the sweep; returns ``summary_metrics()`` plus the
     cell coordinates."""
-    topo = Topology.grid(rows, cols, spacing_ft)
-    image = CodeImage.random(
-        program_id=1, n_segments=n_segments,
-        segment_packets=segment_packets, seed=seed,
-    )
     loss_model = PerfectLossModel() if loss_pct == 0 \
         else UniformLossModel(loss_to_ber(loss_pct))
-    protocol_config = None
-    if protocol in MNP_FAMILY:
-        protocol_config = MNPConfig(**config) if config else MNPConfig()
-    deployment = Deployment(
-        topo, image=image, protocol=protocol,
-        protocol_config=protocol_config, seed=seed,
-        propagation=PropagationModel(RANGE_FT, 3.0),
-        loss_model=loss_model,
+    deployment = grid_deployment(
+        rows, cols, protocol, n_segments, segment_packets, seed, config,
+        spacing_ft=spacing_ft, loss_model=loss_model,
     )
     result = deployment.run_to_completion(deadline_ms=deadline_min * MINUTE)
     metrics = result.summary_metrics()
@@ -78,24 +63,12 @@ def run_coding_cell(protocol, loss_pct, seed, rows=5, cols=5,
     return metrics
 
 
-def coding_experiment(spec):
+def coding_experiment(spec, loss_pct=0, **cell_kwargs):
     """Runner executor (``experiment="coding"``).
 
-    ``spec.overrides`` may carry ``loss_pct`` (default 0), ``rows``,
-    ``cols``, ``spacing_ft``, ``n_segments``, ``segment_packets``,
-    ``deadline_min``, and (for the MNP family) a ``config`` dict of
-    :class:`MNPConfig` keyword arguments.
+    The overrides are :func:`run_coding_cell`'s keyword arguments
+    (``loss_pct``, the grid, the image, the deadline, and for the MNP
+    family a ``config`` dict of :class:`MNPConfig` keyword arguments),
+    and its signature holds their defaults.
     """
-    ov = spec.overrides
-    return run_coding_cell(
-        spec.protocol,
-        ov.get("loss_pct", 0),
-        spec.seed,
-        rows=ov.get("rows", 5),
-        cols=ov.get("cols", 5),
-        spacing_ft=ov.get("spacing_ft", SPACING_FT),
-        n_segments=ov.get("n_segments", 2),
-        segment_packets=ov.get("segment_packets", 24),
-        deadline_min=ov.get("deadline_min", 480.0),
-        config=ov.get("config"),
-    )
+    return run_coding_cell(spec.protocol, loss_pct, spec.seed, **cell_kwargs)

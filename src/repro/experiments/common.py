@@ -5,7 +5,7 @@ nodes for one run; :meth:`Deployment.settle` drives the simulation until
 every alive node holds the full image (or a deadline passes), and
 :meth:`Deployment.run_to_completion` starts, settles and returns a
 :class:`RunResult` exposing the paper's metrics.  :func:`grid_deployment`
-builds the lossy grid of Figs. 8-13 that most experiments share.
+builds the lossy grid of Figs. 8-13 that every grid experiment shares.
 
 Protocols are selected by a factory so MNP and the baselines run on
 byte-identical channels (same seed => same per-edge loss factors), making
@@ -193,33 +193,25 @@ class RunResult:
         return True
 
 
-def grid_experiment(spec):
+def grid_experiment(spec, **overrides):
     """Runner executor for the standard large-grid run (``experiment="grid"``).
 
-    ``spec.overrides`` may carry ``rows``, ``cols``, ``n_segments``,
-    ``segment_packets``, ``deadline_min``, and (for MNP) a ``config`` dict
-    of :class:`MNPConfig` keyword arguments; anything unspecified falls
-    back to the spec's pinned scale.  Returns the run's
+    The overrides are the keyword arguments of
+    :func:`~repro.experiments.active_radio.run_simulation_grid` (for the
+    MNP family, ``config`` may be a dict of :class:`MNPConfig` keyword
+    arguments), whose signature holds their defaults; a grid or image
+    size not given is the spec's pinned scale's.  Returns the run's
     :meth:`RunResult.summary_metrics`.
     """
     from repro.experiments.active_radio import run_simulation_grid
     from repro.experiments.scale import get_scale
 
     scale = get_scale(spec.scale)
-    ov = spec.overrides
-    config_kwargs = ov.get("config")
-    config = MNPConfig(**config_kwargs) if config_kwargs else None
-    run = run_simulation_grid(
-        rows=ov.get("rows", scale.grid[0]),
-        cols=ov.get("cols", scale.grid[1]),
-        n_segments=ov.get("n_segments", scale.n_segments),
-        segment_packets=ov.get("segment_packets", scale.segment_packets),
-        seed=spec.seed,
-        config=config,
-        protocol=spec.protocol,
-        deadline_min=ov.get("deadline_min", 480),
-    )
-    return run.summary_metrics()
+    kwargs = {"rows": scale.grid[0], "cols": scale.grid[1],
+              "n_segments": scale.n_segments,
+              "segment_packets": scale.segment_packets, **overrides}
+    return run_simulation_grid(seed=spec.seed, protocol=spec.protocol,
+                               **kwargs).summary_metrics()
 
 
 class Deployment:
@@ -365,24 +357,25 @@ class Deployment:
 
 
 def grid_deployment(rows, cols, protocol, n_segments, segment_packets, seed,
-                    config=None, security=None):
-    """The lossy grid of Figs. 8-13: ``rows`` x ``cols`` nodes at
-    :data:`SPACING_FT`, a :data:`RANGE_FT` radio, the empirical loss model
-    and a random image, all seeded by ``seed``.
+                    config=None, security=None, spacing_ft=SPACING_FT,
+                    range_ft=RANGE_FT, loss_model=None, mote_config=None):
+    """The lossy grid of Figs. 8-13, the one recipe every grid run
+    shares: ``rows`` x ``cols`` nodes at ``spacing_ft``, a ``range_ft``
+    radio, the empirical loss model (unless ``loss_model`` is given) and
+    a random image, all seeded by ``seed``.
 
-    The MNP family runs ``config`` (an :class:`MNPConfig` or its kwargs;
-    None is the stock config); other protocols take no config.
+    ``config`` (an :class:`MNPConfig` or its kwargs; None is the stock
+    config) goes to the protocol unchanged, so a baseline handed one
+    raises :class:`TypeError`.  ``security`` and ``mote_config`` are
+    :class:`Deployment`'s.
     """
     image = CodeImage.random(1, n_segments=n_segments,
                              segment_packets=segment_packets, seed=seed)
     if isinstance(config, dict):
         config = MNPConfig(**config)
     return Deployment(
-        Topology.grid(rows, cols, SPACING_FT), image=image,
-        protocol=protocol,
-        protocol_config=config if protocol in MNP_FAMILY else None,
-        seed=seed,
-        propagation=PropagationModel(RANGE_FT, 3.0),
-        loss_model=EmpiricalLossModel(seed=seed),
-        security=security,
+        Topology.grid(rows, cols, spacing_ft), image=image,
+        protocol=protocol, protocol_config=config, seed=seed,
+        propagation=PropagationModel(range_ft, 3.0), loss_model=loss_model,
+        mote_config=mote_config, security=security,
     )

@@ -9,13 +9,9 @@ network is dense...").  This sweep measures both protocols across
 spacings.
 """
 
-from repro.core.segments import CodeImage
-from repro.experiments.common import RANGE_FT, Deployment
+from repro.experiments.common import RANGE_FT, grid_deployment
 from repro.metrics.reports import format_table
 from repro.net.connectivity import hop_counts
-from repro.net.loss_models import EmpiricalLossModel
-from repro.net.topology import Topology
-from repro.radio.propagation import PropagationModel
 from repro.sim.kernel import MINUTE
 
 
@@ -33,22 +29,14 @@ class DensityPoint:
         self.mean_neighbors = metrics["mean_neighbors"]
 
 
-def density_experiment(spec):
+def density_experiment(spec, spacing_ft, rows=6, cols=6, n_segments=2):
     """Runner executor for one (protocol, spacing) density point: one
     grid run at ``spacing_ft``, reduced to its JSON-ready point metrics."""
-    ov = spec.overrides
-    spacing_ft = ov["spacing_ft"]
-    seed = spec.seed
-    topo = Topology.grid(ov.get("rows", 6), ov.get("cols", 6), spacing_ft)
-    image = CodeImage.random(1, n_segments=ov.get("n_segments", 2),
-                             segment_packets=32, seed=seed)
-    dep = Deployment(
-        topo, image=image, protocol=spec.protocol, seed=seed,
-        propagation=PropagationModel(RANGE_FT, 3.0),
-        loss_model=EmpiricalLossModel(seed=seed),
-    )
+    dep = grid_deployment(rows, cols, spec.protocol, n_segments, 32,
+                          spec.seed, spacing_ft=spacing_ft)
     metrics = dep.run_to_completion(
         deadline_ms=4 * 60 * MINUTE).summary_metrics()
+    topo = dep.topology
     hops = hop_counts(topo, RANGE_FT, dep.base_id)
     index = topo.grid_index(RANGE_FT)
     neighborhood = [

@@ -207,21 +207,14 @@ def mnp_over_tdma(rows=8, cols=8, n_segments=2, seed=0, slot_ms=30.0):
     from repro.hardware.mote import MoteConfig
     from repro.radio.tdma import TdmaMac, build_tdma_schedule
 
-    topo = Topology.grid(rows, cols, SPACING_FT)
-    image = CodeImage.random(1, n_segments=n_segments, segment_packets=64,
-                             seed=seed)
-    schedule = build_tdma_schedule(topo, RANGE_FT, slot_ms=slot_ms)
-
     def run(mac_factory):
-        dep = Deployment(
-            topo, image=image, protocol="mnp", seed=seed,
-            propagation=PropagationModel(RANGE_FT, 3.0),
-            loss_model=EmpiricalLossModel(seed=seed),
-            mote_config=MoteConfig(mac_factory=mac_factory),
-        )
+        dep = grid_deployment(rows, cols, "mnp", n_segments, 64, seed,
+                              mote_config=MoteConfig(mac_factory=mac_factory))
         return dep.run_to_completion(deadline_ms=8 * 60 * MINUTE)
 
     csma_run = run(None)
+    schedule = build_tdma_schedule(csma_run.topology, RANGE_FT,
+                                   slot_ms=slot_ms)
     tdma_run = run(
         lambda sim, radio, channel, seed_: TdmaMac(sim, radio, channel,
                                                    schedule, seed=seed_)

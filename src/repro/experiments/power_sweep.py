@@ -29,17 +29,15 @@ class PowerPoint:
         self.mean_energy_nah = metrics["mean_energy_nah"]
 
 
-def power_experiment(spec):
+def power_experiment(spec, level, rows=5, cols=5, environment="indoor",
+                     spacing_ft=4.0, program_packets=128):
     """Runner executor for one power-level point: one mote-grid run,
-    reduced to its JSON-ready point metrics."""
-    ov = spec.overrides
-    level = ov["level"]
-    grid = run_mote_grid(
-        ov.get("rows", 5), ov.get("cols", 5), level,
-        environment=ov.get("environment", "indoor"),
-        spacing_ft=ov.get("spacing_ft", 4.0),
-        program_packets=ov.get("program_packets", 128), seed=spec.seed,
-    )
+    reduced to its JSON-ready point metrics.  The defaults are the
+    sweep's indoor grid, not :func:`run_mote_grid`'s, so a cached spec
+    that omits them keeps its meaning."""
+    grid = run_mote_grid(rows, cols, level, environment=environment,
+                         spacing_ft=spacing_ft,
+                         program_packets=program_packets, seed=spec.seed)
     dep = grid.deployment
     range_ft = dep.propagation.range_ft(level)
     hops = hop_counts(dep.topology, range_ft, dep.base_id)

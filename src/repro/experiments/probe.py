@@ -8,38 +8,24 @@ dedup, caching, progress streaming) rather than the simulator.  A probe
 run is a tiny grid dissemination, fully determined by its
 :class:`~repro.runner.RunSpec` like every other experiment.
 
-Overrides: ``rows``/``cols`` (default 2x3), ``spacing_ft`` (default 10),
-``n_segments`` (default 1), ``segment_packets`` (default 8),
-``deadline_min`` (default 60).
+The spec's overrides are :func:`probe_experiment`'s keyword arguments,
+and its signature holds their defaults.
 """
 
-from repro.core.config import MNPConfig
-from repro.core.segments import CodeImage
-from repro.experiments.common import Deployment
-from repro.net.topology import Topology
+from repro.experiments.common import grid_deployment
 from repro.sim.kernel import MINUTE
 
 
-def probe_experiment(spec):
+def probe_experiment(spec, rows=2, cols=3, spacing_ft=10.0, n_segments=1,
+                     segment_packets=8, deadline_min=60, config=None):
     """Runner executor for one probe run; returns a JSON-ready dict."""
-    ov = spec.overrides
-    rows = ov.get("rows") or 2
-    cols = ov.get("cols") or 3
-    topo = Topology.grid(rows, cols, ov.get("spacing_ft", 10.0))
-    image = CodeImage.random(
-        1,
-        n_segments=ov.get("n_segments") or 1,
-        segment_packets=ov.get("segment_packets") or 8,
-        seed=spec.seed,
-    )
-    config_kwargs = ov.get("config")
-    config = MNPConfig(**config_kwargs) if config_kwargs else None
-    dep = Deployment(topo, image=image, protocol=spec.protocol,
-                     protocol_config=config, seed=spec.seed)
-    result = dep.run_to_completion(
-        deadline_ms=ov.get("deadline_min", 60) * MINUTE)
-    metrics = result.to_dict()
+    # The radio is Deployment's default: the outdoor preset's 60 ft range.
+    dep = grid_deployment(rows, cols, spec.protocol, n_segments,
+                          segment_packets, spec.seed, config,
+                          spacing_ft=spacing_ft, range_ft=60.0)
+    metrics = dep.run_to_completion(
+        deadline_ms=deadline_min * MINUTE).to_dict()
     metrics["protocol"] = spec.protocol
     metrics["seed"] = spec.seed
-    metrics["image_bytes"] = image.size_bytes
+    metrics["image_bytes"] = dep.image.size_bytes
     return metrics

@@ -25,7 +25,6 @@ Used by ``python -m repro profile``.
 
 import time
 
-from repro.core.segments import CodeImage
 from repro.net.loss_models import EmpiricalLossModel
 from repro.net.topology import Topology
 from repro.radio.channel import Channel
@@ -135,16 +134,11 @@ def profile_dissemination(rows=20, cols=20, spacing_ft=10.0, range_ft=13.0,
     senders in disjoint neighborhoods), which is the contention regime
     the paper's sender-selection design targets.
     """
-    from repro.experiments.common import Deployment
+    from repro.experiments.common import grid_deployment
 
-    topology = Topology.grid(rows, cols, spacing_ft)
-    image = CodeImage.random(1, n_segments=n_segments,
-                             segment_packets=segment_packets, seed=seed)
-    deployment = Deployment(
-        topology, image=image, protocol="mnp", seed=seed,
-        propagation=PropagationModel(range_ft, 3.0),
-        loss_model=EmpiricalLossModel(seed=seed),
-    )
+    deployment = grid_deployment(rows, cols, "mnp", n_segments,
+                                 segment_packets, seed,
+                                 spacing_ft=spacing_ft, range_ft=range_ft)
     wall0 = time.perf_counter()
     result = deployment.run_to_completion(deadline_ms=deadline_min * MINUTE)
     wall_s = time.perf_counter() - wall0
