@@ -73,6 +73,12 @@ def test_unknown_experiment_rejected():
         resolve_experiment("nope")
 
 
+def test_negative_worker_count_rejected():
+    # It used to be clamped to 0, so a typo ran the fleet serially.
+    with pytest.raises(ValueError, match="workers must be >= 0, got -2"):
+        Runner(workers=-2)
+
+
 # ----------------------------------------------------------------------
 # Determinism: serial == parallel, bit for bit
 # ----------------------------------------------------------------------
