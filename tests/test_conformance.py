@@ -424,6 +424,15 @@ def test_evaluate_scenario_clean_spec_has_no_violations():
     assert runs["base"]["content_ok"]
 
 
+def test_run_scenario_rejects_an_unknown_variant_key():
+    # A misspelled axis used to run the base scenario, so the
+    # differential twin compared a run with itself.
+    from repro.conformance.execute import run_scenario
+
+    with pytest.raises(ValueError, match="segment_packet"):
+        run_scenario(small_spec(), variant={"segment_packet": 2})
+
+
 def test_run_specs_for_pins_scale_and_carries_spec():
     spec = small_spec()
     pairs = run_specs_for(spec)
