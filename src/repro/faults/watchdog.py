@@ -48,6 +48,10 @@ Invariants checked:
 from repro.core.states import MNPState, is_allowed
 from repro.sim.kernel import MINUTE
 
+#: The liveness bound: a gap this long with no protocol activity while
+#: coverage is below 100% is a stall.
+STALL_MS = 10 * MINUTE
+
 #: Categories the watchdog listens to.
 WATCHED = (
     "mnp.state", "mnp.sender", "mnp.sender_done", "mnp.sleep",
@@ -88,7 +92,8 @@ class InvariantWatchdog:
         disables the concurrent-sender check.
     stall_ms:
         Liveness threshold: a longer gap with no protocol activity while
-        coverage < 100% is a stall (default 10 virtual minutes).
+        coverage < 100% is a stall (default :data:`STALL_MS`, 10 virtual
+        minutes).
     expected_digest:
         SHA-256 hex digest of the one legitimate image; when set, any
         ``boot.install`` carrying a different digest is an
@@ -99,7 +104,7 @@ class InvariantWatchdog:
     """
 
     def __init__(self, sim, n_nodes=None, neighbors_fn=None,
-                 stall_ms=10 * MINUTE, expected_digest=None,
+                 stall_ms=STALL_MS, expected_digest=None,
                  expected_version=None):
         self.sim = sim
         self.n_nodes = n_nodes
