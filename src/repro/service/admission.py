@@ -70,8 +70,11 @@ class AdmissionControl:
     """Semaphore-bounded worker pool with a hard queue-depth cap."""
 
     def __init__(self, workers=None, queue_limit=None, job_timeout_s=None):
-        self.workers = workers if workers is not None else default_workers()
-        self.workers = max(1, int(self.workers))
+        if workers is None:
+            workers = default_workers()
+        elif workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = int(workers)
         self.queue_limit = queue_limit if queue_limit is not None \
             else default_queue_limit()
         self.job_timeout_s = job_timeout_s if job_timeout_s is not None \

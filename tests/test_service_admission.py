@@ -5,6 +5,8 @@
 environment defaults (docs/service.md); an explicit argument wins.
 """
 
+import pytest
+
 from repro.service import Service
 from repro.service.admission import AdmissionControl
 
@@ -34,3 +36,9 @@ def test_explicit_limits_override_the_environment(monkeypatch):
 def test_no_timeout_without_the_environment(monkeypatch):
     monkeypatch.delenv("REPRO_SERVICE_TIMEOUT_S", raising=False)
     assert AdmissionControl().job_timeout_s is None
+
+
+def test_zero_workers_rejected():
+    # 0 means serial to the runner; for a service it is no pool at all.
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        Service(workers=0)
