@@ -259,16 +259,19 @@ class ImageNode:
     def _packet_payload(self, seg_id, packet_id):
         return self.mote.eeprom.read(self._flash_key(seg_id, packet_id))
 
-    def assemble_image(self):
+    def assemble_image(self, charged=False):
         """Read the received image back out of EEPROM (None if incomplete).
 
-        Used by tests and examples to check the paper's *accuracy*
-        requirement: the received image must be byte-identical.
+        Tests and the experiment harness use it to check the paper's
+        *accuracy* requirement (the received image must be
+        byte-identical), and their reads cost the node nothing.  The
+        node's own bootloader reads with ``charged=True``.
         """
         if not self.has_full_image:
             return None
-        return b"".join(self.mote.eeprom.read(key)
-                        for key in self._image_keys())
+        eeprom = self.mote.eeprom
+        read = eeprom.read if charged else eeprom.peek
+        return b"".join(read(key) for key in self._image_keys())
 
     def verify_image(self):
         """CRC-check the staged image against the advertised CRC without
@@ -399,7 +402,7 @@ class ImageNode:
         secured = self.security is not None and self.manifest is not None
         result = self.mote.bootloader.install(
             self.program.program_id,
-            self.assemble_image(),
+            self.assemble_image(charged=True),
             expected_crc=self.program.image_crc,
             manifest=self.manifest if secured else None,
             key=self.security.key if secured else None,

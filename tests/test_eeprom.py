@@ -99,3 +99,12 @@ def test_explicit_nbytes_overrides_len():
     flash.write("a", "logical-object", nbytes=2 * LINE_BYTES)
     assert flash.write_ops == 2
     assert flash.used_bytes == 2 * LINE_BYTES
+
+
+def test_peek_does_not_count():
+    flash = Eeprom()
+    flash.write("a", b"x" * 64)
+    assert flash.peek("a") == b"x" * 64
+    assert flash.read_ops == 0
+    with pytest.raises(KeyError):
+        flash.peek("missing")

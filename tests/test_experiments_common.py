@@ -108,3 +108,26 @@ def test_same_seed_same_channel_for_different_protocols():
             if src != dst:
                 assert a.loss_model.ber(src, dst, 15.0, 25.0) == \
                     b.loss_model.ber(src, dst, 15.0, 25.0)
+
+
+def test_images_intact_reads_flash_without_charging_energy():
+    # The accuracy check is the harness inspecting flash, not the node
+    # reading it: checking must not move the energy it reports.
+    from repro.experiments.common import grid_deployment
+
+    dep = grid_deployment(3, 3, "mnp", 1, 16, 1)
+    res = dep.run_to_completion()
+    before = res.summary_metrics()["mean_energy_nah"]
+    reads = {n: m.eeprom.read_ops for n, m in dep.motes.items()}
+    assert res.images_intact(dep.image)
+    assert res.images_intact(dep.image)
+    assert res.summary_metrics()["mean_energy_nah"] == before
+    assert {n: m.eeprom.read_ops for n, m in dep.motes.items()} == reads
+
+
+def test_install_signal_charges_the_node_for_its_own_read():
+    dep, res, _ = quick()
+    node = dep.nodes[2]
+    reads = node.mote.eeprom.read_ops
+    assert node.install_signal()
+    assert node.mote.eeprom.read_ops > reads
