@@ -8,15 +8,10 @@ Gaussian elimination.  Instead of a per-packet MissingVector, receivers
 advertise a single number -- their decoder *rank* -- and senders stream
 ``max(deficit)`` coded packets for the whole neighborhood at once.
 
-Two coefficient fields are supported:
-
-* ``"gf256"`` -- GF(2^8) with the AES-friendly primitive polynomial
-  x^8+x^4+x^3+x^2+1 (0x11D).  Coefficients are uniform random bytes, so
-  a fresh coded packet is innovative with probability ~(1 - 256^-d) for
-  deficit d; one coefficient byte per generation packet on the wire.
-* ``"gf2"`` -- plain XOR coding.  Coefficients are single bits (packed
-  8-per-byte on the wire); cheaper headers and mote-friendly arithmetic,
-  but a fresh packet is innovative only with probability ~(1 - 2^-d).
+Coefficients live in GF(2^8) with the AES-friendly primitive
+polynomial x^8+x^4+x^3+x^2+1 (0x11D).  They are uniform random bytes, so
+a fresh coded packet is innovative with probability ~(1 - 256^-d) for
+deficit d; one coefficient byte per generation packet rides on the wire.
 
 All coefficient draws come from a caller-supplied ``random.Random``
 (derive one with :func:`repro.sim.rng.derive_rng`): coding never touches
@@ -32,7 +27,7 @@ __all__ = [
     "GF256_POLY",
     "gf256_mul",
     "gf256_inv",
-    "coeff_wire_bytes",
+    "GF256_PRODUCTS",
     "pack_coeffs",
     "unpack_coeffs",
     "GenerationEncoder",
@@ -97,10 +92,8 @@ def _product_tables():
     return tables
 
 
-# ---------------------------------------------------------------------------
-# Field descriptors
-# ---------------------------------------------------------------------------
-
+#: ``GF256_PRODUCTS[c]`` maps every byte ``x`` to ``c * x``.
+GF256_PRODUCTS = _product_tables()
 
 #: Mersenne Twister words drawn per refill of a coefficient pool.
 _POOL_WORDS = 256
@@ -108,109 +101,44 @@ _POOL_WORDS = 256
 _ACCEPT = bytes(1 - (b & 1) for b in range(256))
 
 
-class _GF256:
-    """GF(2^8): byte coefficients, whole-row product tables."""
+def _coeff_source(rng):
+    """``draw(n)``: the next ``n`` coefficients from ``rng``.
 
-    name = "gf256"
-    table = _product_tables()
+    The stream equals one ``rng.randrange(256)`` per coefficient.  That
+    call is ``getrandbits(9)`` retried while the result is >= 256, and
+    each try takes the top 9 bits of one 32-bit Mersenne Twister word:
+    the try is accepted when the word's top bit is 0, and its value is
+    then ``word >> 23``.  ``getrandbits(32 * k)`` returns the next ``k``
+    words in order, the first in the low bits, so a pool refill shifts
+    such a block right by 23 bits once: in each word's 4-byte lane the
+    first byte is then its value and bit 0 of the second its top bit.
+    Slicing, ``translate`` and ``compress`` keep the accepted values in
+    C.
+    """
+    pool = b""
 
-    @staticmethod
-    def coeff_source(rng):
-        """``draw(n)``: the next ``n`` coefficients from ``rng``.
-
-        The stream equals one ``rng.randrange(256)`` per coefficient.
-        That call is ``getrandbits(9)`` retried while the result is
-        >= 256, and each try takes the top 9 bits of one 32-bit Mersenne
-        Twister word: the try is accepted when the word's top bit is 0,
-        and its value is then ``word >> 23``.  ``getrandbits(32 * k)``
-        returns the next ``k`` words in order, the first in the low bits,
-        so a pool refill shifts such a block right by 23 bits once: in
-        each word's 4-byte lane the first byte is then its value and bit
-        0 of the second its top bit.  Slicing, ``translate`` and
-        ``compress`` keep the accepted values in C.
-        """
-        pool = b""
-
-        def draw(n):
-            nonlocal pool
-            while len(pool) < n:
-                lanes = (rng.getrandbits(32 * _POOL_WORDS) >> 23).to_bytes(
-                    4 * _POOL_WORDS, "little")
-                pool += bytes(compress(lanes[0::4],
-                                       lanes[1::4].translate(_ACCEPT)))
-            taken, pool = pool[:n], pool[n:]
-            return tuple(taken)
-        return draw
-
-    inv = staticmethod(gf256_inv)
-
-    @staticmethod
-    def wire_bytes(n):
-        return n  # one byte per generation packet
+    def draw(n):
+        nonlocal pool
+        while len(pool) < n:
+            lanes = (rng.getrandbits(32 * _POOL_WORDS) >> 23).to_bytes(
+                4 * _POOL_WORDS, "little")
+            pool += bytes(compress(lanes[0::4],
+                                   lanes[1::4].translate(_ACCEPT)))
+        taken, pool = pool[:n], pool[n:]
+        return tuple(taken)
+    return draw
 
 
-class _GF2:
-    """GF(2): bit coefficients, XOR-only arithmetic.  Coefficients are
-    always 0 or 1, so only the zero and identity rows are needed."""
-
-    name = "gf2"
-    table = (bytes(256), bytes(range(256)))
-
-    @staticmethod
-    def coeff_source(rng):
-        """``draw(n)``: the next ``n`` coefficients from ``rng``."""
-        def draw(n):
-            bits = rng.getrandbits(n)
-            return tuple((bits >> i) & 1 for i in range(n))
-        return draw
-
-    @staticmethod
-    def inv(a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(2)")
-        return 1
-
-    @staticmethod
-    def wire_bytes(n):
-        return (n + 7) // 8  # packed bitmap
-
-
-FIELDS = {"gf256": _GF256, "gf2": _GF2}
-
-
-def _field(name):
-    try:
-        return FIELDS[name]
-    except KeyError:
-        raise ValueError(f"unknown coding field {name!r}; "
-                         f"expected one of {sorted(FIELDS)}") from None
-
-
-def coeff_wire_bytes(n, field="gf256"):
-    """On-air bytes for an ``n``-packet coefficient vector."""
-    return _field(field).wire_bytes(n)
-
-
-def pack_coeffs(coeffs, field="gf256"):
-    """Serialize a coefficient vector to wire bytes."""
-    if field == "gf2":
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c:
-                bits |= 1 << i
-        return bits.to_bytes((len(coeffs) + 7) // 8, "little")
+def pack_coeffs(coeffs):
+    """Serialize a coefficient vector to wire bytes (one byte each)."""
     return bytes(coeffs)
 
 
-def unpack_coeffs(data, n, field="gf256"):
+def unpack_coeffs(data, n):
     """Inverse of :func:`pack_coeffs`; raises ValueError on short input."""
-    need = coeff_wire_bytes(n, field)
-    if len(data) < need:
+    if len(data) < n:
         raise ValueError(f"coefficient header truncated: "
-                         f"{len(data)} < {need} bytes for n={n}")
-    if field == "gf2":
-        bits = int.from_bytes(data[:need], "little")
-        return tuple((bits >> i) & 1 for i in range(n))
+                         f"{len(data)} < {n} bytes for n={n}")
     return tuple(data[:n])
 
 
@@ -234,14 +162,13 @@ class GenerationEncoder:
         ``derive_rng(seed, "coding", node_id, program_id, seg_id)``).
     """
 
-    def __init__(self, packets, rng, field="gf256",
-                 payload_len=PACKET_PAYLOAD_BYTES):
+    def __init__(self, packets, rng, payload_len=PACKET_PAYLOAD_BYTES):
         if not packets:
             raise ValueError("cannot encode an empty generation")
-        self.field = _field(field)
         self.rng = rng
-        # The encoder owns ``rng``: the GF(2^8) source draws ahead of use.
-        self._draw = self.field.coeff_source(rng)
+        # The encoder owns ``rng``: the coefficient source draws ahead of
+        # use.
+        self._draw = _coeff_source(rng)
         self.n = len(packets)
         self.payload_len = payload_len
         self.tail_len = len(packets[-1])
@@ -264,7 +191,7 @@ class GenerationEncoder:
             coeffs = self._draw(self.n)
             if any(coeffs):
                 break
-        table = self.field.table
+        table = GF256_PRODUCTS
         acc = 0
         for c, row in zip(coeffs, self._rows):
             if c:
@@ -291,8 +218,7 @@ class GenerationDecoder:
     packet for its pivot column.
     """
 
-    def __init__(self, n, payload_len=PACKET_PAYLOAD_BYTES, field="gf256"):
-        self.field = _field(field)
+    def __init__(self, n, payload_len=PACKET_PAYLOAD_BYTES):
         self.n = n
         self.payload_len = payload_len
         self._row_len = n + payload_len
@@ -320,7 +246,7 @@ class GenerationDecoder:
         if (len(pivots) == self.n or len(coeffs) != self.n
                 or len(payload) != self.payload_len):
             return False
-        table = self.field.table
+        table = GF256_PRODUCTS
         # Reduce against every existing pivot.  Read as a little-endian
         # integer, a row is subtracted (XORed) in one operation.  The
         # pivot rows are fully reduced, so subtracting one never changes
@@ -337,7 +263,7 @@ class GenerationDecoder:
             return False  # linearly dependent (e.g. a duplicate)
         pivot = ((low & -low).bit_length() - 1) >> 3
         row = acc.to_bytes(self._row_len, "little")
-        row = row.translate(table[self.field.inv(row[pivot])])
+        row = row.translate(table[gf256_inv(row[pivot])])
         # Back-eliminate the new pivot column from every existing row.
         for col, p_row in pivots.items():
             c = p_row[pivot]
@@ -375,11 +301,10 @@ class CodedSegmentTracker:
     becomes "rank deficit"; "empty" means *decoded and fully flushed*.
     """
 
-    def __init__(self, n, payload_len=PACKET_PAYLOAD_BYTES, field="gf256"):
+    def __init__(self, n, payload_len=PACKET_PAYLOAD_BYTES):
         self.n = n
         self.payload_len = payload_len
-        self.field_name = _field(field).name
-        self.decoder = GenerationDecoder(n, payload_len, field)
+        self.decoder = GenerationDecoder(n, payload_len)
         self.written = BitVector.none_set(n)
         self.tail_len = payload_len
 
@@ -437,8 +362,7 @@ class CodedSegmentTracker:
         had already been flushed to EEPROM (``read_fn(packet_id) ->
         bytes``); everything else must be re-received.
         """
-        decoder = GenerationDecoder(self.n, self.payload_len,
-                                    self.field_name)
+        decoder = GenerationDecoder(self.n, self.payload_len)
         for pid in self.written.iter_set():
             unit = [0] * self.n
             unit[pid] = 1
@@ -462,7 +386,7 @@ class CodedSegmentTracker:
 
     def __repr__(self):
         return (f"CodedSegmentTracker(n={self.n}, rank={self.rank}, "
-                f"written={self.written.count()}, field={self.field_name})")
+                f"written={self.written.count()})")
 
 
 class RankDemand:

@@ -27,10 +27,6 @@ from repro.radio.channel import MICA2_BITRATE_KBPS
 from repro.radio.packet import PHY_OVERHEAD_BYTES
 from repro.sim.rng import derive_rng
 
-#: The coefficient field of the coded variants.  GF(2) stays an option
-#: of the codec (:mod:`repro.core.coding`), not of a protocol.
-CODING_FIELD = "gf256"
-
 #: Extra coded packets a round streams beyond the largest reported rank
 #: deficit, to ride out losses and the (tiny) chance of a non-innovative
 #: draw.
@@ -438,8 +434,7 @@ class CodedImage:
         super().__init__(*args, **kwargs)
 
     def _new_loss_tracker(self, seg_id):
-        return CodedSegmentTracker(self.program.n_packets(seg_id),
-                                   field=CODING_FIELD)
+        return CodedSegmentTracker(self.program.n_packets(seg_id))
 
     def _next_coded_packet(self, seg_id):
         """A fresh random linear combination of segment ``seg_id``."""
@@ -454,13 +449,11 @@ class CodedImage:
                 packets,
                 derive_rng(self.mote.seed, "coding", self.node_id,
                            self.program.program_id, seg_id),
-                field=CODING_FIELD,
             )
             self._encoders[key] = encoder
         coeffs, payload = encoder.next_coded()
         return CodedDataPacket(self.node_id, seg_id, coeffs, payload,
-                               tail_len=encoder.tail_len,
-                               field=CODING_FIELD)
+                               tail_len=encoder.tail_len)
 
     def _next_round_packet(self, seg_id):
         """This round's next coded packet of ``seg_id``, or None once
@@ -503,7 +496,6 @@ class CodedImage:
         n = self.program.segment_packets if self.program else 32
         return CodedDataPacket(
             self.node_id, 1, (0,) * n, b"\x00" * 23, tail_len=23,
-            field=CODING_FIELD,
         )
 
     def power_cycle(self):

@@ -223,28 +223,23 @@ class CodedDataPacket(DataPacket):
     """A random linear combination of one segment's packets.
 
     The generation id *is* the segment id; ``coeffs`` is the coefficient
-    vector over the generation (one byte per packet in GF(2^8), one bit
-    in GF(2)); ``tail_len`` is the true length of the generation's last
+    vector over the generation (one GF(2^8) byte per packet); ``tail_len`` is the true length of the generation's last
     plaintext packet so decoders can trim the zero-padding the encoder
     added for equal-length rows.  Subclasses :class:`DataPacket` so MAC
     pacing (``isinstance(payload, DataPacket)``) applies unchanged;
     ``packet_id`` is meaningless under coding and pinned to 0.
     """
 
-    __slots__ = ("coeffs", "tail_len", "field")
+    __slots__ = ("coeffs", "tail_len")
 
-    def __init__(self, source_id, seg_id, coeffs, payload, tail_len,
-                 field="gf256"):
+    def __init__(self, source_id, seg_id, coeffs, payload, tail_len):
         super().__init__(source_id, seg_id, 0, payload)
         self.coeffs = tuple(coeffs)
         self.tail_len = tail_len
-        self.field = field
 
     def wire_bytes(self):
-        from repro.core.coding import coeff_wire_bytes
         # src, seg (= generation id), tail_len, coefficient vector, payload
-        return 2 + 1 + 1 + coeff_wire_bytes(len(self.coeffs), self.field) \
-            + len(self.payload)
+        return 2 + 1 + 1 + len(self.coeffs) + len(self.payload)
 
 
 class EndDownload:

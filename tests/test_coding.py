@@ -1,6 +1,6 @@
 """The network-coding layer: fields, codec, trackers, coded protocols.
 
-The unit half is a seeded fuzz of the GF(2^8) and GF(2) generation
+The unit half is a seeded fuzz of the GF(2^8) generation
 encoder/decoder -- random rank-deficient batches, duplicated coded
 packets, truncated coefficient headers -- plus the EEPROM-flush and
 power-cycle behavior of :class:`CodedSegmentTracker`.  The codec's
@@ -27,13 +27,12 @@ from repro import (
     UniformLossModel,
 )
 from repro.core.coding import (
-    FIELDS,
     GF256_POLY,
+    GF256_PRODUCTS,
     CodedSegmentTracker,
     GenerationDecoder,
     GenerationEncoder,
     RankDemand,
-    coeff_wire_bytes,
     gf256_inv,
     gf256_mul,
     pack_coeffs,
@@ -76,7 +75,7 @@ def _shift_and_add_mul(a, b):
 
 def test_gf256_product_table_is_exhaustively_exact():
     """All 65,536 entries of the whole-row product table."""
-    table = FIELDS["gf256"].table
+    table = GF256_PRODUCTS
     assert len(table) == 256
     for c in range(256):
         expected = bytes(gf256_mul(c, x) for x in range(256))
@@ -92,7 +91,6 @@ def test_gf256_product_table_is_exhaustively_exact():
 #: field -> (mul, inv) for the reference codec, one byte per call.
 REF_ARITH = {
     "gf256": (gf256_mul, gf256_inv),
-    "gf2": (lambda a, b: a & b, lambda a: 1),
 }
 
 
@@ -123,9 +121,6 @@ def _ref_subtract_scaled(coeffs, payload, factor, p_coeffs, p_payload, mul):
 
 
 def _ref_draw(field, n, rng):
-    if field == "gf2":
-        bits = rng.getrandbits(n)
-        return tuple((bits >> i) & 1 for i in range(n))
     return tuple(rng.randrange(256) for _ in range(n))
 
 
@@ -202,7 +197,7 @@ def _differential_rows(rng, field, n, payload_len=23):
     the decoder meets: all-zero, rank-deficient batches, duplicates,
     reboot's unit rows, random rows up to full rank, and rows arriving
     at full rank."""
-    top = 2 if field == "gf2" else 256
+    top = 256
     mul = REF_ARITH[field][0]
 
     def payload():
@@ -247,13 +242,13 @@ def _differential_rows(rng, field, n, payload_len=23):
 DIFFERENTIAL_NS = [1, 2, 3, 7, 8, 9, 23, 32, 64, 100, 127, 128]
 
 
-@pytest.mark.parametrize("field", ["gf256", "gf2"])
+@pytest.mark.parametrize("field", ["gf256"])
 def test_decoder_matches_byte_loop_reference(field):
     """After every ``add``: same verdict, same rank, same stored rows in
     the same pivot order."""
     rng = random.Random(0xD1FF)
     for n in DIFFERENTIAL_NS:
-        decoder = GenerationDecoder(n, field=field)
+        decoder = GenerationDecoder(n)
         reference = ReferenceDecoder(n, field)
         for kind, coeffs, payload in _differential_rows(rng, field, n):
             if kind == "full_rank":
@@ -267,15 +262,14 @@ def test_decoder_matches_byte_loop_reference(field):
             [bytes(reference.pivots[i][1]) for i in range(n)]
 
 
-@pytest.mark.parametrize("field", ["gf256", "gf2"])
+@pytest.mark.parametrize("field", ["gf256"])
 def test_encoder_matches_byte_loop_reference(field):
     """Equal seeds, equal coefficient vectors and payloads."""
     rng = random.Random(0xE2C)
     for n in DIFFERENTIAL_NS:
         packets = _random_generation(rng, n, rng.randrange(1, 24))
         seed = rng.randrange(2**32)
-        encoder = GenerationEncoder(packets, random.Random(seed),
-                                    field=field)
+        encoder = GenerationEncoder(packets, random.Random(seed))
         reference = ReferenceEncoder(packets, random.Random(seed), field)
         for _ in range(8):
             assert encoder.next_coded() == reference.next_coded(), n
@@ -328,23 +322,22 @@ def _random_generation(rng, n, tail_len):
     return packets
 
 
-@pytest.mark.parametrize("field", ["gf256", "gf2"])
+@pytest.mark.parametrize("field", ["gf256"])
 def test_roundtrip_fuzz(field):
     rng = random.Random(42)
     for trial in range(25):
         n = rng.randrange(1, 33)
         tail = rng.randrange(1, 24)
         packets = _random_generation(rng, n, tail)
-        encoder = GenerationEncoder(
-            packets, random.Random(1000 + trial), field=field)
-        decoder = GenerationDecoder(n, field=field)
+        encoder = GenerationEncoder(packets, random.Random(1000 + trial))
+        decoder = GenerationDecoder(n)
         sent = 0
         while not decoder.is_complete:
             coeffs, payload = encoder.next_coded()
             # Round-trip the coefficient header through the wire codec.
-            wire = pack_coeffs(coeffs, field)
-            assert len(wire) == coeff_wire_bytes(n, field)
-            decoder.add(unpack_coeffs(wire, n, field), payload)
+            wire = pack_coeffs(coeffs)
+            assert len(wire) == n
+            decoder.add(unpack_coeffs(wire, n), payload)
             sent += 1
             assert sent < 20 * n + 50, "decoder failed to converge"
         recovered = [decoder.packet(i) for i in range(n)]
@@ -352,7 +345,7 @@ def test_roundtrip_fuzz(field):
         assert recovered == packets
 
 
-@pytest.mark.parametrize("field", ["gf256", "gf2"])
+@pytest.mark.parametrize("field", ["gf256"])
 def test_rank_deficient_batches_never_overreport(field):
     """Feeding fewer than n combinations can never reach full rank, and
     duplicates of the same coded packet never raise rank."""
@@ -360,9 +353,8 @@ def test_rank_deficient_batches_never_overreport(field):
     for trial in range(10):
         n = rng.randrange(2, 17)
         packets = _random_generation(rng, n, 23)
-        encoder = GenerationEncoder(
-            packets, random.Random(trial), field=field)
-        decoder = GenerationDecoder(n, field=field)
+        encoder = GenerationEncoder(packets, random.Random(trial))
+        decoder = GenerationDecoder(n)
         batch = [encoder.next_coded() for _ in range(n - 1)]
         for coeffs, payload in batch:
             decoder.add(coeffs, payload)
@@ -380,11 +372,9 @@ def test_rank_deficient_batches_never_overreport(field):
 def test_truncated_coefficient_headers_rejected():
     n = 12
     coeffs = tuple(range(1, n + 1))
-    for field in ("gf256", "gf2"):
-        wire = pack_coeffs(coeffs[:n] if field == "gf256"
-                           else tuple(c & 1 for c in coeffs), field)
-        with pytest.raises(ValueError):
-            unpack_coeffs(wire[:-1], n, field)
+    wire = pack_coeffs(coeffs)
+    with pytest.raises(ValueError):
+        unpack_coeffs(wire[:-1], n)
     # A short coefficient vector reaching the decoder (corrupted decode
     # surviving the CRC) is dropped, not absorbed.
     decoder = GenerationDecoder(n)
@@ -400,8 +390,6 @@ def test_encoder_rejects_malformed_generations():
         GenerationEncoder([b"\x00" * 5, b"\x00" * 23], random.Random(0))
     with pytest.raises(ValueError):
         GenerationEncoder([b"\x00" * 24], random.Random(0))
-    with pytest.raises(ValueError):
-        GenerationEncoder([b"\x00" * 23], random.Random(0), field="gf7")
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +474,6 @@ def test_rank_demand_merge_and_report_wire():
     pkt = CodedDataPacket(1, 2, (1,) * 16, b"\x00" * 23, tail_len=23)
     assert isinstance(pkt, DataPacket)
     assert pkt.wire_bytes() == 2 + 1 + 1 + 16 + 23
-    gf2_pkt = CodedDataPacket(1, 2, (1,) * 16, b"\x00" * 23, tail_len=23,
-                              field="gf2")
-    assert gf2_pkt.wire_bytes() == 2 + 1 + 1 + 2 + 23
 
 
 # ---------------------------------------------------------------------------
