@@ -27,11 +27,12 @@ def test_ablation_sender_selection(benchmark, baseline):
         rounds=1, iterations=1,
     )
     save_report("ablation_sender_selection",
-                ablation_report([baseline, outcome]))
+                ablation_report({"baseline": baseline,
+                                 "no-sender-selection": outcome}))
     assert baseline.coverage == 1.0
     # More concurrent senders -> more collisions per data packet sent.
-    base_rate = baseline.collisions / max(1, baseline.data_tx)
-    ablated_rate = outcome.collisions / max(1, outcome.data_tx)
+    base_rate = baseline.collector.collisions / max(1, baseline.data_tx)
+    ablated_rate = outcome.collector.collisions / max(1, outcome.data_tx)
     assert ablated_rate > base_rate
 
 
@@ -42,13 +43,14 @@ def test_ablation_sleep(benchmark, baseline):
         run_ablation, args=("no-sleep",), kwargs={"seed": 1},
         rounds=1, iterations=1,
     )
-    save_report("ablation_sleep", ablation_report([baseline, outcome]))
+    save_report("ablation_sleep", ablation_report({"baseline": baseline,
+                                                   "no-sleep": outcome}))
     assert outcome.coverage == 1.0
     assert outcome.completion_s is not None
     # no-sleep: radio on ~always
-    assert outcome.art_s > 0.9 * outcome.completion_s
+    assert outcome.average_active_radio_s() > 0.9 * outcome.completion_s
     # baseline sleeps a meaningful fraction away
-    assert baseline.art_s < 0.75 * baseline.completion_s
+    assert baseline.average_active_radio_s() < 0.75 * baseline.completion_s
 
 
 def test_ablation_forward_vector(benchmark, baseline):
@@ -59,7 +61,8 @@ def test_ablation_forward_vector(benchmark, baseline):
         rounds=1, iterations=1,
     )
     save_report("ablation_forward_vector",
-                ablation_report([baseline, outcome]))
+                ablation_report({"baseline": baseline,
+                                 "no-forward-vector": outcome}))
     assert outcome.coverage == 1.0
     assert outcome.data_tx > baseline.data_tx
 
@@ -77,7 +80,9 @@ def test_ablation_pipelining(benchmark):
         rounds=1, iterations=1,
     )
     pipelined = run_ablation("baseline", seed=1, **strip)
-    save_report("ablation_pipelining", ablation_report([pipelined, outcome]))
+    save_report("ablation_pipelining",
+                ablation_report({"baseline": pipelined,
+                                 "no-pipelining": outcome}))
     assert outcome.coverage == 1.0
     assert pipelined.coverage == 1.0
     assert outcome.completion_s > pipelined.completion_s
@@ -91,7 +96,8 @@ def test_ablation_query_update(benchmark, baseline):
         rounds=1, iterations=1,
     )
     save_report("ablation_query_update",
-                ablation_report([baseline, outcome]))
+                ablation_report({"baseline": baseline,
+                                 "query-update": outcome}))
     assert outcome.coverage == 1.0
 
 
@@ -102,5 +108,6 @@ def test_ablation_battery_aware(benchmark, baseline):
         rounds=1, iterations=1,
     )
     save_report("ablation_battery_aware",
-                ablation_report([baseline, outcome]))
+                ablation_report({"baseline": baseline,
+                                 "battery-aware": outcome}))
     assert outcome.coverage == 1.0

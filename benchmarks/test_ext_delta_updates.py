@@ -28,7 +28,8 @@ def test_ext_delta_updates(benchmark):
     assert verified
     assert full.coverage == 1.0 and patch.coverage == 1.0
     # A 64-byte fix to an ~8.8 KB image: the script is tiny...
-    assert patch.payload_bytes < 0.2 * full.payload_bytes
+    assert patch.deployment.image.size_bytes < \
+        0.2 * full.deployment.image.size_bytes
     # ...and the whole update gets proportionally cheaper.
     assert patch.completion_s < full.completion_s
     assert patch.data_tx < 0.5 * full.data_tx

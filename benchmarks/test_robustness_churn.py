@@ -28,7 +28,7 @@ def test_robustness_churn(benchmark):
 
     rows = [
         ["15% churn mid-update",
-         f"{outcome.survivor_coverage:.0%} of {len(outcome.alive)} "
+         f"{outcome.coverage:.0%} of {len(outcome.alive)} "
          "survivors",
          f"{outcome.completion_s:.0f}",
          str(outcome.corrupt_images == 0)],
@@ -42,7 +42,7 @@ def test_robustness_churn(benchmark):
         rows, title="Robustness: churn and late arrival",
     ))
 
-    assert outcome.survivor_coverage == 1.0
+    assert outcome.coverage == 1.0
     assert outcome.corrupt_images == 0
     assert len(outcome.controller.crashed_nodes) >= 4
     assert catch_up is not None

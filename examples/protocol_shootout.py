@@ -23,22 +23,23 @@ from repro.experiments.comparison import comparison_report, run_comparison
 
 
 def main():
-    outcomes = run_comparison(
+    runs = run_comparison(
         protocols=("mnp", "deluge", "moap", "xnp", "flood"),
         seed=3,
         rows=8, cols=8, n_segments=2, segment_packets=64,
     )
-    print(comparison_report(outcomes))
+    print(comparison_report(runs))
 
-    by_name = {o.protocol: o for o in outcomes}
-    mnp, deluge = by_name["mnp"], by_name["deluge"]
+    mnp, deluge = runs["mnp"], runs["deluge"]
     print()
-    print(f"XNP coverage: {by_name['xnp'].coverage:.0%} "
+    print(f"XNP coverage: {runs['xnp'].coverage:.0%} "
           "(single-hop cannot reprogram a multihop field)")
     if mnp.completion_s and deluge.completion_s:
-        print(f"MNP active radio time: {mnp.art_s:.0f} s vs Deluge's "
-              f"{deluge.art_s:.0f} s "
-              f"({mnp.art_s / deluge.art_s:.0%}) -- the §5 energy claim")
+        mnp_art = mnp.average_active_radio_s()
+        deluge_art = deluge.average_active_radio_s()
+        print(f"MNP active radio time: {mnp_art:.0f} s vs Deluge's "
+              f"{deluge_art:.0f} s "
+              f"({mnp_art / deluge_art:.0%}) -- the §5 energy claim")
 
 
 if __name__ == "__main__":

@@ -609,12 +609,10 @@ def _cmd_run(args, out):
         out.write("  completion:        did not complete before deadline\n")
     out.write(f"  avg active radio:  "
               f"{result.average_active_radio_s():.0f} s\n")
-    out.write(f"  messages sent:     "
-              f"{sum(result.messages_sent().values())}\n")
+    out.write(f"  messages sent:     {result.messages}\n")
     out.write(f"  collisions:        {result.collector.collisions}\n")
-    energy = result.energy_nah()
     out.write(f"  mean energy:       "
-              f"{sum(energy.values()) / len(energy) / 1000:.1f} uAh\n")
+              f"{result.mean_energy_nah / 1000:.1f} uAh\n")
     out.write(f"  images intact:     {result.images_intact(image)}\n")
     return 0 if result.coverage == 1.0 else 1
 
@@ -1195,9 +1193,9 @@ def _sec5(seed, out):
     from repro.experiments.comparison import comparison_report, \
         run_comparison
 
-    outcomes = run_comparison(("mnp", "deluge", "moap", "xnp", "flood"),
-                              seed=seed)
-    out.write(comparison_report(outcomes) + "\n")
+    runs = run_comparison(("mnp", "deluge", "moap", "xnp", "flood"),
+                          seed=seed)
+    out.write(comparison_report(runs) + "\n")
 
 
 @_figure("ablations")
@@ -1227,10 +1225,9 @@ def _cmd_compare(args, out):
     if problem:
         return _usage_error("compare", problem)
     rows, cols = args.grid
-    outcomes = run_comparison(tuple(args.protocols), seed=args.seed,
-                              rows=rows, cols=cols,
-                              n_segments=args.segments)
-    out.write(comparison_report(outcomes) + "\n")
+    runs = run_comparison(tuple(args.protocols), seed=args.seed,
+                          rows=rows, cols=cols, n_segments=args.segments)
+    out.write(comparison_report(runs) + "\n")
     return 0
 
 

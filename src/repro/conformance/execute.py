@@ -134,15 +134,14 @@ def run_scenario(scenario, protocol="mnp", variant=None):
         "n_nodes": len(dep.nodes),
         "alive": len(run.alive),
         "complete": len(run.complete),
-        "coverage": run.survivor_coverage,
-        "all_complete": len(run.complete) == len(run.alive)
-        and bool(run.alive),
-        "completion_ms": run.completion_ms,
+        "coverage": run.coverage,
+        "all_complete": run.all_complete,
+        "completion_ms": run.completion_time_ms,
         "deadline_hit": run.deadline_hit,
         "messages_sent": run.messages,
-        "collisions": run.collisions,
+        "collisions": run.collector.collisions,
         "content_ok": run.corrupt_images == 0,
-        "content_sha": _content_digest(run.images),
+        "content_sha": _content_digest(run.images()),
         "image_sha": hashlib.sha256(image.to_bytes()).hexdigest(),
         "image_bytes": image.size_bytes,
         "n_segments": image.n_segments,

@@ -19,7 +19,6 @@ switches one off and measures the cost on the standard grid workload:
 from repro.core.config import MNPConfig
 from repro.experiments.active_radio import run_simulation_grid
 from repro.metrics.reports import format_table
-from repro.sim.kernel import SECOND
 
 ABLATIONS = {
     "baseline": {},
@@ -32,43 +31,33 @@ ABLATIONS = {
 }
 
 
-class AblationOutcome:
-    def __init__(self, name, run):
-        self.name = name
-        self.run = run
-        self.coverage = run.coverage
-        self.completion_s = run.completion_time_ms / SECOND \
-            if run.completion_time_ms else None
-        self.art_s = run.average_active_radio_s()
-        self.collisions = run.collector.collisions
-        self.data_tx = sum(
-            1 for _, _, kind in run.collector.tx_log if kind == "DataPacket"
-        )
-
-
 def run_ablation(name, seed=0, **grid_kwargs):
-    """Run one named ablation from :data:`ABLATIONS`."""
+    """Run one named ablation from :data:`ABLATIONS`; returns its
+    :class:`~repro.experiments.common.RunResult`."""
     try:
         overrides = ABLATIONS[name]
     except KeyError:
         raise ValueError(f"unknown ablation {name!r}; "
                          f"known: {sorted(ABLATIONS)}") from None
     config = MNPConfig().replace(**overrides)
-    run = run_simulation_grid(seed=seed, config=config, **grid_kwargs)
-    return AblationOutcome(name, run)
+    return run_simulation_grid(seed=seed, config=config, **grid_kwargs)
 
 
 def run_all(names=None, seed=0, **grid_kwargs):
-    names = names or list(ABLATIONS)
-    return [run_ablation(name, seed=seed, **grid_kwargs) for name in names]
+    """``{name: RunResult}`` for ``names`` (default: every ablation)."""
+    return {name: run_ablation(name, seed=seed, **grid_kwargs)
+            for name in names or ABLATIONS}
 
 
-def ablation_report(outcomes):
+def ablation_report(runs):
+    """``runs`` is ``{ablation name: RunResult}``, as :func:`run_all`
+    returns."""
     rows = [
-        [o.name, f"{o.coverage:.0%}",
-         f"{o.completion_s:.0f}" if o.completion_s else "-",
-         f"{o.art_s:.0f}", o.collisions, o.data_tx]
-        for o in outcomes
+        [name, f"{run.coverage:.0%}",
+         f"{run.completion_s:.0f}" if run.completion_s else "-",
+         f"{run.average_active_radio_s():.0f}", run.collector.collisions,
+         run.data_tx]
+        for name, run in runs.items()
     ]
     return format_table(
         ["ablation", "coverage", "completion(s)", "avg ART(s)",

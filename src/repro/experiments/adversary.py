@@ -28,7 +28,7 @@ from repro.experiments.chaos import FaultedRun, faulted_config
 from repro.experiments.common import grid_deployment
 from repro.faults import FaultPlan
 from repro.faults.watchdog import STALL_MS
-from repro.sim.kernel import MINUTE
+from repro.sim.kernel import MINUTE, SECOND
 
 #: Attack classes the CLI sweep exercises; each maps intensity in [0, 1]
 #: to a concrete plan (see :func:`attack_plan`).
@@ -110,22 +110,23 @@ def adversary_experiment(spec, plan=None, attack_class=None, intensity=0.5,
             else attack_plan(attack_class, intensity)
     run = run_adversary(plan, protocol=spec.protocol, seed=spec.seed,
                         secured=secured, **run_kwargs)
+    corrupt = run.corrupt_images
     return {
         "secured": secured,
         "survivors_total": len(run.alive),
         "survivors_complete": len(run.complete),
-        "survivor_coverage": run.survivor_coverage,
+        "survivor_coverage": run.coverage,
         "completion_s": run.completion_s,
         "deadline_hit": run.deadline_hit,
         "auth_rejects": run.auth_rejects,
         "quarantines": run.quarantines,
         "installs": dict(run.installs),
         "tampered_installs": run.tampered_installs,
-        "corrupt_images": run.corrupt_images,
-        "images_intact": run.corrupt_images == 0,
+        "corrupt_images": corrupt,
+        "images_intact": corrupt == 0,
         "messages_sent": run.messages,
-        "collisions": run.collisions,
-        "elapsed_s": run.elapsed_s,
+        "collisions": run.collector.collisions,
+        "elapsed_s": run.sim.now / SECOND,
         "faults": run.controller.summary(),
         "watchdog_ok": run.verdict["ok"],
         "watchdog": run.verdict,

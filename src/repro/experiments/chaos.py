@@ -23,7 +23,7 @@ as a plain dict, so it participates in the content hash.
 import hashlib
 
 from repro.core.config import MNPConfig
-from repro.experiments.common import MNP_FAMILY, grid_deployment
+from repro.experiments.common import MNP_FAMILY, RunResult, grid_deployment
 from repro.faults import FaultController, FaultPlan, InvariantWatchdog
 from repro.faults.watchdog import STALL_MS
 from repro.sim.kernel import MINUTE, SECOND
@@ -82,22 +82,24 @@ def standard_plan(fault_class, intensity=0.5, rows=6, cols=6):
     return plan
 
 
-class FaultedRun:
+class FaultedRun(RunResult):
     """One dissemination run under an optional fault plan, audited by an
     optional watchdog: the loop chaos, adversary, churn and conformance
-    runs share.
+    runs share.  It is a :class:`RunResult`, so its tally (alive and
+    complete nodes, coverage, completion, messages, image integrity) is
+    every run's; it adds the plan, the watchdog and the install.
 
     Construction wires the run in a fixed order: the plan's
     :class:`FaultController` installs its hooks, then the
     :class:`InvariantWatchdog` subscribes (armed with the image's digest
     and version, for the authentic-install audit), then the deployment
-    starts.  :meth:`settle` runs it; :meth:`close` ends it and tallies the
-    survivors.  ``plan=None`` builds no controller (``controller`` stays
-    None); ``stall_ms=None`` attaches no watchdog (``verdict`` stays None).
+    starts.  :meth:`settle` runs it; :meth:`close` ends it.  ``plan=None``
+    builds no controller (``controller`` stays None); ``stall_ms=None``
+    attaches no watchdog (``verdict`` stays None).
     """
 
     def __init__(self, deployment, plan=None, stall_ms=None):
-        self.deployment = deployment
+        super().__init__(deployment, deadline_hit=None)
         self.controller = None
         if plan is not None:
             self.controller = FaultController(deployment, plan)
@@ -128,48 +130,17 @@ class FaultedRun:
                                                        last_fault_ms)
 
     def close(self, install=False):
-        """End the run and tally the survivors.
+        """End the run: the watchdog gives its verdict.
 
         ``install`` first drives the external start signal (§3.5) through
         every staged image, so the bootloader's rejections (quarantines)
         and the watchdog's authentic-install audit are in the books.
         """
-        dep = self.deployment
-        nodes, motes = dep.nodes, dep.motes
         if install:
-            self.installs = dep.install_all()
+            self.installs = self.deployment.install_all()
         if self._watchdog is not None:
-            self.verdict = self._watchdog.finish(motes=motes)
+            self.verdict = self._watchdog.finish(motes=self.motes)
             self._watchdog.detach()
-        self.alive = [n for n in nodes if motes[n].alive]
-        self.complete = [n for n in self.alive if nodes[n].has_full_image]
-        self.survivor_coverage = (
-            len(self.complete) / len(self.alive) if self.alive else 0.0
-        )
-        times = [
-            nodes[n].got_code_time for n in self.complete
-            if nodes[n].got_code_time is not None
-        ]
-        self.completion_ms = (
-            max(times)
-            if times and len(self.complete) == len(self.alive) else None
-        )
-        # A lone base station "completes" at 0 ms: no completion time.
-        self.completion_s = (
-            self.completion_ms / SECOND if self.completion_ms else None
-        )
-        #: Complete node id -> its image read back from flash.
-        self.images = {n: nodes[n].assemble_image() for n in self.complete}
-        expected = dep.image.to_bytes()
-        self.corrupt_images = sum(
-            1 for image in self.images.values() if image != expected
-        )
-        self.fails = sum(getattr(n, "fails", 0) for n in nodes.values())
-        self.auth_rejects = sum(n.auth_rejects for n in nodes.values())
-        self.quarantines = sum(n.quarantines for n in nodes.values())
-        self.messages = sum(dep.collector.tx_by_node.values())
-        self.collisions = dep.collector.collisions
-        self.elapsed_s = dep.sim.now / SECOND
 
     @property
     def tampered_installs(self):
@@ -179,21 +150,22 @@ class FaultedRun:
             if v["invariant"] == "authentic-install"
         )
 
-    def to_dict(self):
+    def chaos_manifest(self):
         """JSON-ready chaos manifest (deterministic for a given
         ``(seed, plan)``; the CI chaos-smoke job diffs two of these)."""
+        corrupt = self.corrupt_images
         return {
             "survivors_total": len(self.alive),
             "survivors_complete": len(self.complete),
-            "survivor_coverage": self.survivor_coverage,
+            "survivor_coverage": self.coverage,
             "completion_s": self.completion_s,
             "deadline_hit": self.deadline_hit,
             "fails": self.fails,
-            "corrupt_images": self.corrupt_images,
-            "images_intact": self.corrupt_images == 0,
+            "corrupt_images": corrupt,
+            "images_intact": corrupt == 0,
             "messages_sent": self.messages,
-            "collisions": self.collisions,
-            "elapsed_s": self.elapsed_s,
+            "collisions": self.collector.collisions,
+            "elapsed_s": self.sim.now / SECOND,
             "faults": self.controller.summary(),
             "watchdog_ok": self.verdict["ok"],
             "watchdog": self.verdict,
@@ -246,7 +218,7 @@ def chaos_experiment(spec, plan=None, fault_class=None, intensity=0.5,
         plan = FaultPlan()
     outcome = run_chaos(plan, protocol=spec.protocol, seed=spec.seed,
                         **run_kwargs)
-    metrics = outcome.to_dict()
+    metrics = outcome.chaos_manifest()
     metrics["seed"] = spec.seed
     metrics["protocol"] = spec.protocol
     return metrics

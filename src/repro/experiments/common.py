@@ -43,7 +43,12 @@ def register_protocol(name, factory):
 
 
 class RunResult:
-    """Everything the evaluation section measures, for one run."""
+    """Everything the evaluation section measures, for one run.
+
+    The one reader of a finished deployment: it decides which nodes
+    count (the :attr:`alive` ones, which is every node unless a fault
+    plan crashed some) and defines each headline number once.
+    """
 
     def __init__(self, deployment, deadline_hit):
         self.deployment = deployment
@@ -58,28 +63,77 @@ class RunResult:
     # Reliability (coverage + accuracy)
     # ------------------------------------------------------------------
     @property
+    def alive(self):
+        """Ids of the nodes whose mote is up."""
+        return [n for n, mote in self.motes.items() if mote.alive]
+
+    @property
+    def complete(self):
+        """Ids of the alive nodes holding the full image."""
+        return [n for n in self.alive if self.nodes[n].has_full_image]
+
+    @property
     def all_complete(self):
-        return all(n.has_full_image for n in self.nodes.values())
+        """Every alive node holds the full image (and one is alive)."""
+        alive = self.alive
+        return bool(alive) and len(self.complete) == len(alive)
 
     @property
     def coverage(self):
-        """Fraction of nodes holding the complete image."""
-        done = sum(1 for n in self.nodes.values() if n.has_full_image)
-        return done / len(self.nodes)
+        """Fraction of the alive nodes holding the complete image."""
+        alive = self.alive
+        return len(self.complete) / len(alive) if alive else 0.0
+
+    def images(self):
+        """Complete node id -> its image read back from flash."""
+        return {n: self.nodes[n].assemble_image() for n in self.complete}
+
+    @property
+    def corrupt_images(self):
+        """Complete nodes whose flash differs from the deployment's image."""
+        expected = self.deployment.image.to_bytes()
+        return sum(1 for image in self.images().values() if image != expected)
+
+    def images_intact(self, reference_image):
+        """Accuracy check: every complete node's EEPROM content equals
+        ``reference_image`` byte-for-byte."""
+        expected = reference_image.to_bytes()
+        return all(image == expected for image in self.images().values())
+
+    @property
+    def fails(self):
+        """Fail-state entries over every node (protocols without a fail
+        state count none)."""
+        return sum(getattr(n, "fails", 0) for n in self.nodes.values())
+
+    @property
+    def auth_rejects(self):
+        return sum(n.auth_rejects for n in self.nodes.values())
+
+    @property
+    def quarantines(self):
+        return sum(n.quarantines for n in self.nodes.values())
 
     # ------------------------------------------------------------------
     # Time metrics
     # ------------------------------------------------------------------
     @property
     def completion_time_ms(self):
-        """Time the last node got the code (None if incomplete)."""
+        """Time the last alive node got the code (None if incomplete)."""
         if not self.all_complete:
             return None
         times = [
-            n.got_code_time for n in self.nodes.values()
-            if n.got_code_time is not None
+            self.nodes[n].got_code_time for n in self.complete
+            if self.nodes[n].got_code_time is not None
         ]
         return max(times) if times else None
+
+    @property
+    def completion_s(self):
+        """:attr:`completion_time_ms` in seconds; None when incomplete,
+        and for a lone base station, which "completes" at 0 ms."""
+        t = self.completion_time_ms
+        return t / SECOND if t else None
 
     @property
     def completion_time_min(self):
@@ -123,6 +177,11 @@ class RunResult:
         """node -> total consumed charge per Table 1 accounting."""
         return {node_id: n.energy_nah() for node_id, n in self.nodes.items()}
 
+    @property
+    def mean_energy_nah(self):
+        energy = self.energy_nah()
+        return sum(energy.values()) / len(energy)
+
     def idle_listening_savings(self):
         """Fraction of would-be idle-listening time eliminated by sleeping:
         1 - (mean active radio time / completion time)."""
@@ -135,6 +194,18 @@ class RunResult:
     # ------------------------------------------------------------------
     # Message metrics
     # ------------------------------------------------------------------
+    @property
+    def messages(self):
+        """Transmissions started, aborted ones included."""
+        return len(self.collector.tx_log)
+
+    @property
+    def data_tx(self):
+        """Data frames sent (``DataPacket``, coded ones excluded)."""
+        return sum(
+            1 for _, _, kind in self.collector.tx_log if kind == "DataPacket"
+        )
+
     def messages_sent(self):
         return dict(self.collector.tx_by_node)
 
@@ -151,7 +222,6 @@ class RunResult:
     def to_dict(self):
         """The run's headline metrics as a JSON-ready dict (used by the
         CLI's machine-readable output and by replication tooling)."""
-        energy = self.energy_nah()
         return {
             "coverage": self.coverage,
             "all_complete": self.all_complete,
@@ -160,10 +230,10 @@ class RunResult:
             "nodes": len(self.nodes),
             "avg_active_radio_s": self.average_active_radio_s(),
             "idle_listening_savings": self.idle_listening_savings(),
-            "messages_sent": sum(self.messages_sent().values()),
+            "messages_sent": self.messages,
             "messages_received": sum(self.messages_received().values()),
             "collisions": self.collector.collisions,
-            "mean_energy_nah": sum(energy.values()) / len(energy),
+            "mean_energy_nah": self.mean_energy_nah,
             "senders": len(self.sender_order()),
         }
 
@@ -172,25 +242,15 @@ class RunResult:
         the derived per-run scalars the sweep/replication layers consume,
         so serial and parallel paths reduce runs identically."""
         metrics = self.to_dict()
-        completion = self.completion_time_ms
         art_ni = self.active_radio_no_initial_ms()
         metrics.update({
-            "completion_s": completion / SECOND if completion else None,
+            "completion_s": self.completion_s,
             "art_s": metrics["avg_active_radio_s"],
             "art_no_init_s": sum(art_ni.values()) / len(art_ni) / SECOND,
             "image_bytes": self.deployment.image.size_bytes,
             "seed": self.deployment.seed,
         })
         return metrics
-
-    def images_intact(self, reference_image):
-        """Accuracy check: every complete node's EEPROM content equals the
-        disseminated image byte-for-byte."""
-        expected = reference_image.to_bytes()
-        for node in self.nodes.values():
-            if node.has_full_image and node.assemble_image() != expected:
-                return False
-        return True
 
 
 def grid_experiment(spec, **overrides):

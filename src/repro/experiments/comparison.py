@@ -11,50 +11,36 @@ average active radio time, messages, collisions and energy.
 
 from repro.experiments.active_radio import run_simulation_grid
 from repro.metrics.reports import format_table
-from repro.sim.kernel import SECOND
-
-
-class ProtocolOutcome:
-    """One protocol's measurements on the shared workload."""
-
-    def __init__(self, protocol, run):
-        self.protocol = protocol
-        self.run = run
-        self.coverage = run.coverage
-        self.completion_s = run.completion_time_ms / SECOND \
-            if run.completion_time_ms else None
-        self.art_s = run.average_active_radio_s()
-        self.messages = sum(run.messages_sent().values())
-        self.collisions = run.collector.collisions
-        energy = run.energy_nah()
-        self.mean_energy_nah = sum(energy.values()) / len(energy)
 
 
 def run_comparison(protocols=("mnp", "deluge"), seed=0, n_segments=None,
                    rows=None, cols=None, segment_packets=None):
-    """Run each protocol on the same network and image."""
-    outcomes = []
-    for protocol in protocols:
-        run = run_simulation_grid(
+    """Run each protocol on the same network and image; returns
+    ``{protocol: RunResult}`` in ``protocols`` order."""
+    return {
+        protocol: run_simulation_grid(
             rows=rows, cols=cols, n_segments=n_segments,
             segment_packets=segment_packets, seed=seed, protocol=protocol,
         )
-        outcomes.append(ProtocolOutcome(protocol, run))
-    return outcomes
+        for protocol in protocols
+    }
 
 
-def comparison_report(outcomes):
+def comparison_report(runs):
+    """``runs`` is :func:`run_comparison`'s ``{protocol: RunResult}``."""
     rows = []
-    for o in outcomes:
+    for protocol, run in runs.items():
+        art_s = run.average_active_radio_s()
+        completion_s = run.completion_s
         rows.append([
-            o.protocol,
-            f"{o.coverage:.0%}",
-            f"{o.completion_s:.0f}" if o.completion_s else "-",
-            f"{o.art_s:.0f}",
-            f"{o.art_s / o.completion_s:.0%}" if o.completion_s else "-",
-            o.messages,
-            o.collisions,
-            f"{o.mean_energy_nah / 1000:.0f}",
+            protocol,
+            f"{run.coverage:.0%}",
+            f"{completion_s:.0f}" if completion_s else "-",
+            f"{art_s:.0f}",
+            f"{art_s / completion_s:.0%}" if completion_s else "-",
+            run.messages,
+            run.collector.collisions,
+            f"{run.mean_energy_nah / 1000:.0f}",
         ])
     return format_table(
         ["protocol", "coverage", "completion(s)", "avg ART(s)",

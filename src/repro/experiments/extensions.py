@@ -11,29 +11,12 @@ from repro.core.config import MNPConfig
 from repro.core.delta import delta_image, reconstruct_image
 from repro.core.segments import CodeImage
 from repro.experiments.common import RANGE_FT, SPACING_FT, Deployment, \
-    grid_deployment
+    RunResult, grid_deployment
 from repro.metrics.reports import format_table
 from repro.net.loss_models import EmpiricalLossModel
 from repro.net.topology import Topology
 from repro.radio.propagation import PropagationModel
 from repro.sim.kernel import MINUTE, SECOND
-
-
-class UpdateOutcome:
-    """Cost of shipping one update (full image or delta script)."""
-
-    def __init__(self, label, image, run):
-        self.label = label
-        self.payload_bytes = image.size_bytes
-        self.completion_s = run.completion_time_ms / SECOND \
-            if run.completion_time_ms else None
-        self.art_s = run.average_active_radio_s()
-        self.data_tx = sum(
-            1 for _, _, kind in run.collector.tx_log if kind == "DataPacket"
-        )
-        self.coverage = run.coverage
-        energy = run.energy_nah()
-        self.mean_energy_nah = sum(energy.values()) / len(energy)
 
 
 def _run_update(image, rows, cols, seed):
@@ -44,16 +27,16 @@ def _run_update(image, rows, cols, seed):
         propagation=PropagationModel(RANGE_FT, 3.0),
         loss_model=EmpiricalLossModel(seed=seed),
     )
-    run = dep.run_to_completion(deadline_ms=4 * 60 * MINUTE)
-    return dep, run
+    return dep.run_to_completion(deadline_ms=4 * 60 * MINUTE)
 
 
 def delta_vs_full(rows=8, cols=8, n_segments=3, change_bytes=64, seed=0):
     """Ship an incremental firmware fix two ways: the whole v2 image vs
     the v1->v2 edit script, both via MNP on identical networks.
 
-    Returns ``(full_outcome, delta_outcome, verified)`` where ``verified``
-    confirms every node's reconstructed v2 is byte-identical.
+    Returns ``(full_run, delta_run, verified)``: the two runs'
+    :class:`~repro.experiments.common.RunResult`, and whether every
+    complete node's reconstructed v2 is byte-identical.
     """
     v1 = CodeImage.random(1, n_segments=n_segments, segment_packets=64,
                           seed=seed)
@@ -65,25 +48,24 @@ def delta_vs_full(rows=8, cols=8, n_segments=3, change_bytes=64, seed=0):
     v2 = CodeImage.from_bytes(2, v2_bytes, segment_packets=64)
     patch = delta_image(v1, v2)
 
-    _, full_run = _run_update(v2, rows, cols, seed)
-    patch_dep, patch_run = _run_update(patch, rows, cols, seed)
-
+    full_run = _run_update(v2, rows, cols, seed)
+    patch_run = _run_update(patch, rows, cols, seed)
     verified = all(
-        reconstruct_image(v1_bytes, node.assemble_image()) == v2_bytes
-        for node in patch_dep.nodes.values()
-        if node.has_full_image
+        reconstruct_image(v1_bytes, image) == v2_bytes
+        for image in patch_run.images().values()
     )
-    return (UpdateOutcome("full image", v2, full_run),
-            UpdateOutcome("delta script", patch, patch_run),
-            verified)
+    return full_run, patch_run, verified
 
 
-def update_report(outcomes):
+def update_report(runs):
+    """``runs`` is ``[full_run, delta_run]``, as :func:`delta_vs_full`
+    returns them."""
     rows = [
-        [o.label, o.payload_bytes, f"{o.coverage:.0%}",
-         f"{o.completion_s:.0f}" if o.completion_s else "-",
-         f"{o.art_s:.0f}", o.data_tx, f"{o.mean_energy_nah / 1000:.0f}"]
-        for o in outcomes
+        [label, run.deployment.image.size_bytes, f"{run.coverage:.0%}",
+         f"{run.completion_s:.0f}" if run.completion_s else "-",
+         f"{run.average_active_radio_s():.0f}", run.data_tx,
+         f"{run.mean_energy_nah / 1000:.0f}"]
+        for label, run in zip(("full image", "delta script"), runs)
     ]
     return format_table(
         ["update as", "payload(B)", "coverage", "completion(s)",
@@ -161,12 +143,10 @@ def coexistence(reprogram_with=None, rows=6, cols=6, n_segments=2,
         completion_s = None
         coverage = None
     else:
-        dep.settle(60 * MINUTE)
+        run = RunResult(dep, deadline_hit=not dep.settle(60 * MINUTE))
         window = dep.sim.now
         completion_s = window / SECOND
-        coverage = sum(
-            1 for n in dep.nodes.values() if n.has_full_image
-        ) / len(dep.nodes)
+        coverage = run.coverage
 
     sink = apps[sink_id]
     return CoexistenceOutcome(

@@ -3,9 +3,13 @@
 import json
 
 from repro.baselines.xnp import XnpNode
-from repro.experiments.chaos import FAULT_CLASSES, run_chaos, standard_plan
+from repro.experiments.chaos import (
+    FAULT_CLASSES, FaultedRun, run_chaos, standard_plan,
+)
+from repro.experiments.common import grid_deployment
 from repro.faults import FaultPlan
 from repro.runner import Runner, RunSpec, execute_spec
+from repro.sim.kernel import SECOND
 
 import pytest
 
@@ -14,6 +18,48 @@ pytestmark = pytest.mark.slow
 
 
 SMOKE = dict(rows=3, cols=3, n_segments=1, segment_packets=16)
+
+
+# ----------------------------------------------------------------------
+# The faulted run's tally is RunResult's
+# ----------------------------------------------------------------------
+def test_coverage_counts_complete_survivors_over_alive_nodes():
+    # Two victims stay down: coverage is over the seven survivors, as the
+    # manifest's survivor_coverage and Deployment.settle count it.
+    plan = FaultPlan().crash(at_ms=3 * SECOND, nodes=[4, 8])
+    out = run_chaos(plan, seed=2, **SMOKE)
+    dep = out.deployment
+    assert sorted(set(dep.nodes) - set(out.alive)) == [4, 8]
+    assert out.coverage == len(out.complete) / len(out.alive) == 1.0
+    assert out.all_complete
+    assert out.completion_time_ms is not None
+    assert out.chaos_manifest()["survivor_coverage"] == out.coverage
+    assert dep.settle(dep.sim.now)
+
+    # Cut short: some survivors are still missing the image.
+    run = FaultedRun(grid_deployment(3, 3, "mnp", 1, 16, 2),
+                     FaultPlan().crash(at_ms=1 * SECOND, nodes=[4]))
+    run.settle(2.5 * SECOND)
+    run.close()
+    assert run.deadline_hit
+    assert 4 not in run.alive
+    assert run.coverage == len(run.complete) / len(run.alive) < 1.0
+    assert not run.all_complete
+    assert run.completion_time_ms is None
+    assert not run.deployment.settle(run.sim.now)
+
+
+def test_summary_metrics_of_a_faulted_run_is_the_headline_dict():
+    out = run_chaos(FaultPlan(), seed=42, **SMOKE)
+    metrics = out.summary_metrics()
+    assert "survivors_total" not in metrics
+    assert metrics["coverage"] == out.coverage == 1.0
+    assert metrics["completion_ms"] == out.completion_time_ms
+    assert metrics["completion_s"] == out.completion_s
+    assert metrics["messages_sent"] == out.messages
+    assert metrics["mean_energy_nah"] == out.mean_energy_nah
+    plain = grid_deployment(3, 3, "mnp", 1, 16, 42).run_to_completion()
+    assert list(metrics) == list(plain.summary_metrics())
 
 
 # ----------------------------------------------------------------------
@@ -44,12 +90,12 @@ def test_standard_plans_are_distinct_per_class():
 # ----------------------------------------------------------------------
 def test_clean_chaos_run_completes_with_ok_verdict():
     out = run_chaos(FaultPlan(), seed=42, **SMOKE)
-    assert out.survivor_coverage == 1.0
+    assert out.coverage == 1.0
     assert out.completion_s is not None
     assert not out.deadline_hit
     assert out.corrupt_images == 0
     assert out.verdict["ok"]
-    manifest = out.to_dict()
+    manifest = out.chaos_manifest()
     assert manifest["watchdog_ok"]
     assert manifest["faults"]["counts"] == {}
     json.dumps(manifest)  # the manifest must be JSON-serialisable
@@ -68,7 +114,7 @@ def test_chaos_manifest_is_bit_reproducible():
 def test_chaos_runs_against_a_baseline_protocol():
     out = run_chaos(standard_plan("crash", 0.5, rows=3, cols=3),
                     protocol="deluge", seed=3, **SMOKE)
-    manifest = out.to_dict()
+    manifest = out.chaos_manifest()
     assert manifest["faults"]["counts"]["crash"] >= 1  # someone really died
     assert "watchdog" in manifest
     json.dumps(manifest)
@@ -90,7 +136,7 @@ def test_chaos_moap_survives_a_corrupted_version_number():
                     seed=0, deadline_min=60, **SMOKE)
     assert out.controller.summary()["counts"]["decode_pass"] > 0
     assert out.verdict["ok"], out.verdict["violations"]
-    json.dumps(out.to_dict())
+    json.dumps(out.chaos_manifest())
 
 
 @pytest.mark.parametrize("protocol", ["deluge", "coded_deluge"])
@@ -103,7 +149,7 @@ def test_chaos_deluge_node_restarted_mid_page_rejoins(protocol):
                     seed=4, deadline_min=60)
     assert 32 in out.controller.restarted_nodes
     assert out.verdict["ok"], out.verdict
-    assert out.survivor_coverage == 1.0
+    assert out.coverage == 1.0
 
 
 def test_chaos_moap_sender_restarted_mid_stream_resumes():
@@ -116,7 +162,7 @@ def test_chaos_moap_sender_restarted_mid_stream_resumes():
                     segment_packets=16, seed=0)
     assert 0 in out.controller.restarted_nodes
     assert out.verdict["ok"], out.verdict
-    assert out.survivor_coverage == 1.0
+    assert out.coverage == 1.0
 
 
 @pytest.mark.parametrize("crash_ms", [2100.0, 2200.0, 2400.0])

@@ -101,11 +101,11 @@ def test_comparison_module():
         comparison_report, run_comparison,
     )
 
-    outcomes = run_comparison(("mnp", "xnp"), seed=5, rows=3, cols=3,
-                              n_segments=1, segment_packets=8)
-    assert [o.protocol for o in outcomes] == ["mnp", "xnp"]
-    assert outcomes[0].coverage == 1.0
-    text = comparison_report(outcomes)
+    runs = run_comparison(("mnp", "xnp"), seed=5, rows=3, cols=3,
+                          n_segments=1, segment_packets=8)
+    assert list(runs) == ["mnp", "xnp"]
+    assert runs["mnp"].coverage == 1.0
+    text = comparison_report(runs)
     assert "mnp" in text and "xnp" in text
 
 
@@ -118,7 +118,7 @@ def test_ablation_module():
     outcome = run_ablation("baseline", seed=5, rows=3, cols=3,
                            n_segments=1, segment_packets=8)
     assert outcome.coverage == 1.0
-    assert "baseline" in ablation_report([outcome])
+    assert "baseline" in ablation_report({"baseline": outcome})
     with pytest.raises(ValueError):
         run_ablation("no-such-ablation")
 

@@ -14,7 +14,8 @@ def test_delta_vs_full_small_network():
     assert verified
     assert full.coverage == 1.0
     assert patch.coverage == 1.0
-    assert patch.payload_bytes < full.payload_bytes
+    assert patch.deployment.image.size_bytes < \
+        full.deployment.image.size_bytes
     assert patch.data_tx < full.data_tx
 
 

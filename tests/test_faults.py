@@ -125,7 +125,7 @@ def test_crash_without_restart_stays_dead():
     assert 5 not in out.alive
     assert out.controller.counts["crash"] == 1
     assert out.controller.crashed_nodes == {5}
-    assert out.survivor_coverage == 1.0
+    assert out.coverage == 1.0
     assert out.verdict["ok"]
 
 
@@ -139,7 +139,7 @@ def test_brownout_sag_takes_its_share_of_capacity_once_per_brownout():
                     segment_packets=16, seed=2)
     motes = out.deployment.motes
     assert out.controller.counts["brownout"] == 3
-    assert out.survivor_coverage == 1.0
+    assert out.coverage == 1.0
     capacity = motes[4].battery.capacity_nah
     assert motes[4].battery.remaining_nah == capacity * 0.5
     assert motes[5].battery.remaining_nah == capacity * 0.75
@@ -159,7 +159,7 @@ def test_crash_with_restart_rejoins_and_completes():
     assert dep.motes[4].alive
     assert out.controller.restarted_nodes == {4}
     assert dep.nodes[4].has_full_image
-    assert out.survivor_coverage == 1.0
+    assert out.coverage == 1.0
     # The run was kept open past the restart so the rejoin was exercised.
     assert out.controller.last_fault_ms == 35 * SECOND
     assert out.verdict["ok"]
@@ -237,7 +237,7 @@ def test_eeprom_failures_fail_the_download_then_recover():
                     segment_packets=16, seed=4)
     assert out.controller.counts["eeprom_fail"] > 0
     assert out.deployment.nodes[3].fails > 0  # routed through _fail
-    assert out.survivor_coverage == 1.0  # recovered after the window
+    assert out.coverage == 1.0  # recovered after the window
     assert out.corrupt_images == 0
     assert out.verdict["ok"]
 
@@ -249,7 +249,7 @@ def test_eeprom_corruption_yields_corrupt_but_complete_image():
                     segment_packets=16, seed=4)
     assert out.controller.counts["eeprom_corrupt"] > 0
     assert 3 in out.controller.corrupted_keys
-    assert out.survivor_coverage == 1.0  # the protocol cannot see it...
+    assert out.coverage == 1.0  # the protocol cannot see it...
     assert out.corrupt_images == 1  # ...but the image checksum can
     assert out.verdict["ok"]  # silent corruption breaks no protocol rule
 
@@ -264,7 +264,7 @@ def test_decode_corruption_drops_frames_but_network_recovers():
                     segment_packets=16, seed=5)
     assert out.controller.counts["decode_drop"] > 0
     assert out.controller.counts.get("decode_pass", 0) == 0
-    assert out.survivor_coverage == 1.0
+    assert out.coverage == 1.0
     assert out.corrupt_images == 0
 
 
@@ -294,7 +294,7 @@ def test_partition_delays_the_far_group():
     out = run_chaos(plan, rows=1, cols=4, n_segments=1,
                     segment_packets=16, seed=6)
     dep = out.deployment
-    assert out.survivor_coverage == 1.0
+    assert out.coverage == 1.0
     # Nobody across the cut could have finished before it healed.
     assert min(dep.nodes[n].got_code_time for n in (2, 3)) > 15 * SECOND
     assert out.verdict["ok"]
@@ -312,7 +312,7 @@ def test_same_seed_and_plan_reproduce_bit_identical_outcomes():
                       segment_packets=16, seed=9)
     second = run_chaos(FaultPlan.from_dict(plan.to_dict()), rows=3, cols=3,
                        n_segments=1, segment_packets=16, seed=9)
-    assert first.to_dict() == second.to_dict()
+    assert first.chaos_manifest() == second.chaos_manifest()
 
 
 def test_different_seeds_draw_different_victims():

@@ -16,7 +16,7 @@ from repro.sim.rng import derive_rng
 def test_churn_survivors_complete():
     outcome = run_churn(rows=5, cols=5, kill_fraction=0.15, seed=2,
                         n_segments=1)
-    assert outcome.survivor_coverage == 1.0
+    assert outcome.coverage == 1.0
     assert outcome.corrupt_images == 0
     assert len(outcome.controller.crashed_nodes) >= 1
     assert 0 not in outcome.controller.crashed_nodes  # base survives
@@ -25,7 +25,7 @@ def test_churn_survivors_complete():
 def test_churn_heavier_losses_still_recover():
     outcome = run_churn(rows=5, cols=5, kill_fraction=0.3, seed=3,
                         n_segments=1)
-    assert outcome.survivor_coverage == 1.0
+    assert outcome.coverage == 1.0
     assert len(outcome.controller.crashed_nodes) >= 7
 
 
@@ -91,5 +91,5 @@ def test_churn_with_hard_kill_keeps_survivors_complete():
     outcome = run_churn(rows=4, cols=4, kill_fraction=0.2, seed=7,
                         n_segments=1)
     assert outcome.controller.crashed_nodes
-    assert outcome.survivor_coverage == 1.0
+    assert outcome.coverage == 1.0
     assert outcome.corrupt_images == 0

@@ -231,7 +231,7 @@ def test_tampered_segment_is_quarantined_and_rerequested():
     assert outcome.controller.summary()["counts"].get(
         "adversary_tamper_payload", 0) > 0
     assert outcome.quarantines > 0
-    assert outcome.survivor_coverage == 1.0
+    assert outcome.coverage == 1.0
     assert outcome.installs == {"installed": 9, "rejected": 0}
     assert outcome.tampered_installs == 0
     assert outcome.verdict["ok"], outcome.verdict["violations"]
@@ -255,7 +255,7 @@ def test_secured_baseline_refuses_forged_versions_end_to_end(protocol):
     assert forged.auth_rejects > 0
     assert forged.tampered_installs == 0
     assert forged.installs["rejected"] == 0
-    assert forged.survivor_coverage == clean.survivor_coverage
+    assert forged.coverage == clean.coverage
 
 
 def test_quarantine_clears_staged_flash_for_rewrite():
@@ -418,7 +418,7 @@ def test_adversarial_gauntlet_never_installs_tampered_image(protocol):
                             segment_packets=16, seed=2, deadline_min=240)
     assert outcome.tampered_installs == 0
     assert outcome.verdict["ok"], outcome.verdict["violations"]
-    assert outcome.survivor_coverage == 1.0
+    assert outcome.coverage == 1.0
     assert outcome.installs["rejected"] == 0
     assert outcome.installs["installed"] == len(outcome.alive)
     # The defence actually fired (otherwise this test proves nothing).
