@@ -114,6 +114,8 @@ class ScenarioSpec:
                 raise ValueError("grid dimensions must be positive")
             if topo["rows"] * topo["cols"] < 2:
                 raise ValueError("a scenario needs at least two nodes")
+            if topo["spacing_ft"] <= 0:
+                raise ValueError("spacing_ft must be positive")
         elif topo["kind"] == "random":
             if topo["n"] < 2:
                 raise ValueError("a scenario needs at least two nodes")

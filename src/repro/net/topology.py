@@ -95,6 +95,9 @@ class Topology:
         ``(c*spacing, r*spacing)``."""
         if rows < 1 or cols < 1:
             raise ValueError("grid dimensions must be positive")
+        if spacing_ft <= 0:
+            raise ValueError(f"grid spacing must be positive, "
+                             f"got {spacing_ft} ft")
         return cls(
             [(c * spacing_ft, r * spacing_ft) for r in range(rows) for c in range(cols)]
         )

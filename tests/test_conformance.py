@@ -90,6 +90,9 @@ def test_spec_from_dict_rejects_unknown_fields():
     {"loss": {"kind": "uniform", "ber": 1.5}},
     {"deadline_min": 0.0},
     {"sabotage": "arson"},
+    {"topology": {"kind": "grid", "rows": 2, "cols": 2, "spacing_ft": 0.0}},
+    {"topology": {"kind": "grid", "rows": 2, "cols": 2,
+                  "spacing_ft": -10.0}},
 ])
 def test_spec_validation_rejects(overrides):
     with pytest.raises(ValueError):

@@ -46,6 +46,23 @@ def test_empty_rejected():
         Topology.random_uniform(0, 10, 10, random.Random(0))
 
 
+@pytest.mark.parametrize("spacing_ft", [0.0, -10.0])
+def test_grid_rejects_a_spacing_of_zero_or_less(spacing_ft):
+    # Co-located nodes (0) or a mirrored grid (< 0) are not a grid.
+    with pytest.raises(ValueError, match="spacing"):
+        Topology.grid(3, 3, spacing_ft)
+    with pytest.raises(ValueError, match="spacing"):
+        Topology.line(3, spacing_ft)
+
+
+def test_a_probe_run_with_a_spacing_of_zero_or_less_fails_before_running():
+    from repro.runner import RunSpec, execute_spec
+
+    for spacing_ft in (0.0, -10.0):
+        with pytest.raises(ValueError, match="spacing"):
+            execute_spec(RunSpec("probe", seed=1, spacing_ft=spacing_ft))
+
+
 def test_distance():
     topo = Topology([(0, 0), (3, 4)])
     assert topo.distance(0, 1) == pytest.approx(5.0)
