@@ -983,13 +983,16 @@ def _cmd_serve(args, out):
         (lambda line: print(line, file=sys.stderr, flush=True))
 
     async def _serve():
-        service = Service(
-            workers=args.service_workers,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            queue_limit=args.queue,
-            job_timeout_s=args.timeout_s,
-            progress=progress,
-        )
+        try:
+            service = Service(
+                workers=args.service_workers,
+                cache_dir=None if args.no_cache else args.cache_dir,
+                queue_limit=args.queue,
+                job_timeout_s=args.timeout_s,
+                progress=progress,
+            )
+        except ValueError as exc:  # a bad REPRO_SERVICE_* setting
+            return _usage_error("serve", exc)
         host, port = await service.start(host=args.host, port=args.port)
         out.write(f"serving on http://{host}:{port}\n")
         out.flush()
@@ -1007,9 +1010,9 @@ def _cmd_serve(args, out):
             except (NotImplementedError, RuntimeError):
                 pass
         await service.serve_forever()
+        return 0
 
-    asyncio.run(_serve())
-    return 0
+    return asyncio.run(_serve())
 
 
 def _cmd_submit(args, out):
@@ -1083,6 +1086,8 @@ def _cmd_loadgen(args, out):
             job_timeout_s=args.timeout_s,
             progress=progress,
         ))
+    except ValueError as exc:  # a self-hosted service's bad setting
+        return _usage_error("loadgen", exc)
     except (ConnectionError, OSError, TimeoutError, RuntimeError) as exc:
         sys.stderr.write(f"repro loadgen: error: {exc}\n")
         return 1

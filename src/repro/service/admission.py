@@ -15,7 +15,7 @@ job store uses it via :meth:`AdmissionControl.run_bounded` and marks
 overruns failed (their result is discarded, never cached).
 
 Defaults come from ``REPRO_SERVICE_WORKERS``, ``REPRO_SERVICE_QUEUE``,
-and ``REPRO_SERVICE_TIMEOUT_S``.
+and ``REPRO_SERVICE_TIMEOUT_S``, read by :func:`env_setting`.
 """
 
 import asyncio
@@ -26,36 +26,41 @@ DEFAULT_WORKERS = 2
 DEFAULT_QUEUE_LIMIT = 256
 
 
-def _env_int(name, fallback):
+def env_setting(name, default, number, ok, bound):
+    """The service setting in environment variable ``name``.
+
+    Unset or empty gives ``default``.  Any other value must parse as
+    ``number`` (``int`` or ``float``) and pass ``ok``; otherwise
+    :class:`ValueError` names the variable, ``bound`` and the value.
+    """
     raw = os.environ.get(name, "").strip()
     if not raw:
-        return fallback
+        return default
     try:
-        return int(raw)
+        value = number(raw)
     except ValueError:
-        return fallback
+        value = None
+    if value is None or not ok(value):
+        raise ValueError(f"{name} must be {bound}, got {raw!r}")
+    return value
 
 
 def default_workers():
     """Worker-pool width: ``REPRO_SERVICE_WORKERS`` or 2."""
-    return max(1, _env_int("REPRO_SERVICE_WORKERS", DEFAULT_WORKERS))
+    return env_setting("REPRO_SERVICE_WORKERS", DEFAULT_WORKERS, int,
+                       lambda n: n >= 1, "an integer >= 1")
 
 
 def default_queue_limit():
     """Admission queue depth: ``REPRO_SERVICE_QUEUE`` or 256."""
-    return max(1, _env_int("REPRO_SERVICE_QUEUE", DEFAULT_QUEUE_LIMIT))
+    return env_setting("REPRO_SERVICE_QUEUE", DEFAULT_QUEUE_LIMIT, int,
+                       lambda n: n >= 1, "an integer >= 1")
 
 
 def default_job_timeout_s():
     """Per-job wall-clock bound: ``REPRO_SERVICE_TIMEOUT_S`` or None."""
-    raw = os.environ.get("REPRO_SERVICE_TIMEOUT_S", "").strip()
-    if not raw:
-        return None
-    try:
-        timeout = float(raw)
-    except ValueError:
-        return None
-    return timeout if timeout > 0 else None
+    return env_setting("REPRO_SERVICE_TIMEOUT_S", None, float,
+                       lambda s: s > 0, "a number > 0")
 
 
 class QueueFull(Exception):

@@ -41,11 +41,11 @@ Body size is bounded by ``REPRO_SERVICE_MAX_BODY`` (default 1 MiB).
 
 import asyncio
 import json
-import os
 from urllib.parse import parse_qs, urlsplit
 
 from repro.runner import EXPERIMENTS, RunSpec
-from repro.service.admission import AdmissionControl, QueueFull
+from repro.service.admission import AdmissionControl, QueueFull, \
+    env_setting
 from repro.service.jobs import JobStore, ServiceDraining
 
 #: Upper bound on request bodies (and a related stream buffer limit).
@@ -65,11 +65,9 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 
 def default_max_body():
-    raw = os.environ.get("REPRO_SERVICE_MAX_BODY", "").strip()
-    try:
-        return max(1024, int(raw)) if raw else DEFAULT_MAX_BODY
-    except ValueError:
-        return DEFAULT_MAX_BODY
+    """Request-body byte cap: ``REPRO_SERVICE_MAX_BODY`` or 1 MiB."""
+    return env_setting("REPRO_SERVICE_MAX_BODY", DEFAULT_MAX_BODY, int,
+                       lambda n: n >= 1024, "an integer >= 1024")
 
 
 class _HttpError(Exception):
