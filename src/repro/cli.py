@@ -888,6 +888,7 @@ def _cmd_fault_matrix(args, out):
 
 
 def _cmd_profile(args, out):
+    import inspect
     import json
 
     from repro.profiling import WORKLOADS, render_profile, run_profile
@@ -898,19 +899,23 @@ def _cmd_profile(args, out):
     )
     unknown = [name for name in workloads if name not in WORKLOADS]
     if unknown or not workloads:
-        sys.stderr.write(
-            f"repro profile: error: unknown workload(s) "
+        return _usage_error(
+            "profile", f"unknown workload(s) "
             f"{', '.join(unknown) or '(none given)'}; "
-            f"known: {', '.join(sorted(WORKLOADS))}\n"
-        )
-        return 2
+            f"known: {', '.join(sorted(WORKLOADS))}")
     overrides = {}
-    if args.frames is not None:
-        overrides["frames_per_node"] = args.frames
-    if args.range_ft is not None:
-        overrides["range_ft"] = args.range_ft
-    if args.segment_packets is not None:
-        overrides["segment_packets"] = args.segment_packets
+    for flag, key, value in (("--frames", "frames_per_node", args.frames),
+                             ("--range", "range_ft", args.range_ft),
+                             ("--segment-packets", "segment_packets",
+                              args.segment_packets)):
+        if value is None:
+            continue
+        takers = [name for name, fn in sorted(WORKLOADS.items())
+                  if key in inspect.signature(fn).parameters]
+        if not set(takers) & set(workloads):
+            return _usage_error("profile", f"{flag} applies only to "
+                                f"--workloads {', '.join(takers)}")
+        overrides[key] = value
     report = run_profile(workloads=workloads, rows=rows, cols=cols,
                          seed=args.seed, **overrides)
     if args.output:

@@ -445,6 +445,18 @@ BAD_INPUT = {
         ["profile", "--frames", "0", "--grid", "2x2", "--workloads",
          "saturation"],
         "repro profile: error: --frames must be >= 1, got 0"),
+    # Each flag used to be dropped silently when no selected workload
+    # took it: the saturation run sent its 96 default frames per node.
+    "profile-segment-packets-without-dissemination": (
+        ["profile", "--workloads", "saturation", "--grid", "4x4",
+         "--segment-packets", "64"],
+        "repro profile: error: --segment-packets applies only to "
+        "--workloads dissemination, megagrid"),
+    "profile-frames-without-saturation": (
+        ["profile", "--workloads", "dissemination", "--grid", "4x4",
+         "--frames", "5"],
+        "repro profile: error: --frames applies only to --workloads "
+        "saturation"),
     "loadgen-workers-negative": (
         ["loadgen", "--workers", "-1", "--jobs", "1", "--clients", "1",
          "--quiet"],
@@ -490,6 +502,18 @@ def test_bad_input_exits_2_with_one_line(case, capsys):
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err == line + "\n"
+
+
+def test_profile_default_pair_takes_both_workload_flags():
+    import json
+
+    code, text = run_cli(["profile", "--grid", "2x2", "--frames", "2",
+                          "--segment-packets", "4", "--json"])
+    assert code == 0
+    phases = {p["workload"]["name"]: p["workload"]
+              for p in json.loads(text)["phases"]}
+    assert phases["saturation"]["frames_per_node"] == 2
+    assert phases["dissemination"]["segment_packets"] == 4
 
 
 def test_run_query_update_reaches_coded_mnp():
