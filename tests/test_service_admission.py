@@ -89,6 +89,11 @@ def test_serve_and_self_hosted_loadgen_report_a_bad_setting(monkeypatch,
                                                             capsys, argv):
     from repro.cli import main
 
+    async def started(*args, **kwargs):
+        # Fail, rather than serve forever, if the setting were accepted.
+        raise AssertionError("the service started with a bad setting")
+
+    monkeypatch.setattr(Service, "start", started)
     monkeypatch.setenv("REPRO_SERVICE_QUEUE", "0")
     assert main(argv) == 2
     err = capsys.readouterr().err
