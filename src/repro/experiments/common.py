@@ -359,6 +359,7 @@ class Deployment:
         self.security = security
         if security is not None and security.enabled:
             self._arm_security(security)
+        self.started = False
 
     def _arm_security(self, security):
         from repro.core.auth import ImageManifest
@@ -390,7 +391,11 @@ class Deployment:
         return {"installed": installed, "rejected": rejected}
 
     def start(self):
-        """Start every node (base stations begin advertising)."""
+        """Start every node (base stations begin advertising), once: a
+        second start would re-boot every node mid-run."""
+        if self.started:
+            raise RuntimeError("deployment already started")
+        self.started = True
         for node in self.nodes.values():
             node.start()
 
@@ -411,8 +416,10 @@ class Deployment:
                              deadline=deadline_ms)
 
     def run_to_completion(self, deadline_ms=4 * 60 * MINUTE):
-        """Start, :meth:`settle`, and return a RunResult."""
-        self.start()
+        """Start (unless started already), :meth:`settle`, and return a
+        RunResult."""
+        if not self.started:
+            self.start()
         return RunResult(self, deadline_hit=not self.settle(deadline_ms))
 
 
