@@ -516,6 +516,32 @@ def test_profile_default_pair_takes_both_workload_flags():
     assert phases["dissemination"]["segment_packets"] == 4
 
 
+@pytest.mark.parametrize("workloads,override,takers", [
+    (("dissemination",), {"frames_per_node": 5}, "saturation"),
+    (("saturation",), {"segment_packets": 64}, "dissemination, megagrid"),
+])
+def test_run_profile_rejects_an_override_no_workload_takes(
+        workloads, override, takers):
+    # run_profile used to drop the override and run the workload at its
+    # default: 96 frames per node, or the default dissemination.
+    from repro.profiling import run_profile
+
+    key = next(iter(override))
+    with pytest.raises(ValueError, match=f"^{key} applies only to "
+                                         f"workloads {takers}$"):
+        run_profile(workloads=workloads, rows=4, cols=4, **override)
+
+
+def test_run_profile_passes_an_override_to_the_workloads_that_take_it():
+    from repro.profiling import run_profile
+
+    report = run_profile(rows=2, cols=2, frames_per_node=2)
+    phases = {p["workload"]["name"]: p["workload"]
+              for p in report["phases"]}
+    assert phases["saturation"]["frames_per_node"] == 2
+    assert "frames_per_node" not in phases["dissemination"]
+
+
 def test_run_query_update_reaches_coded_mnp():
     # The flag configures the whole MNP family: on this run the repair
     # phase moves coded MNP's completion from 10,564 ms to 14,020 ms.
