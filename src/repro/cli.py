@@ -888,10 +888,10 @@ def _cmd_fault_matrix(args, out):
 
 
 def _cmd_profile(args, out):
-    import inspect
     import json
 
-    from repro.profiling import WORKLOADS, render_profile, run_profile
+    from repro.profiling import (WORKLOADS, UnusedOverride, render_profile,
+                                 run_profile)
 
     rows, cols = args.grid if args.grid else (None, None)
     workloads = tuple(
@@ -903,21 +903,17 @@ def _cmd_profile(args, out):
             "profile", f"unknown workload(s) "
             f"{', '.join(unknown) or '(none given)'}; "
             f"known: {', '.join(sorted(WORKLOADS))}")
-    overrides = {}
-    for flag, key, value in (("--frames", "frames_per_node", args.frames),
-                             ("--range", "range_ft", args.range_ft),
-                             ("--segment-packets", "segment_packets",
-                              args.segment_packets)):
-        if value is None:
-            continue
-        takers = [name for name, fn in sorted(WORKLOADS.items())
-                  if key in inspect.signature(fn).parameters]
-        if not set(takers) & set(workloads):
-            return _usage_error("profile", f"{flag} applies only to "
-                                f"--workloads {', '.join(takers)}")
-        overrides[key] = value
-    report = run_profile(workloads=workloads, rows=rows, cols=cols,
-                         seed=args.seed, **overrides)
+    flags = (("--frames", "frames_per_node", args.frames),
+             ("--range", "range_ft", args.range_ft),
+             ("--segment-packets", "segment_packets", args.segment_packets))
+    overrides = {key: value for _, key, value in flags if value is not None}
+    try:
+        report = run_profile(workloads=workloads, rows=rows, cols=cols,
+                             seed=args.seed, **overrides)
+    except UnusedOverride as exc:
+        flag = next(flag for flag, key, _ in flags if key == exc.key)
+        return _usage_error("profile", f"{flag} applies only to "
+                            f"--workloads {', '.join(exc.takers)}")
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(report, fh, indent=2)
