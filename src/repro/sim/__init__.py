@@ -10,13 +10,12 @@ executed in timestamp order -- which matches the level of abstraction TOSSIM
 exposes to protocol code (the paper's simulation vehicle).
 """
 
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
 from repro.sim.rng import derive_rng
 from repro.sim.tracing import TraceRecord, Tracer
 
 __all__ = [
-    "Event",
     "Simulator",
     "Timer",
     "derive_rng",

@@ -5,7 +5,9 @@ helpers :data:`SECOND` and :data:`MINUTE` keep call sites readable.
 
 Events run in ``(time, seq)`` order, where ``seq`` is a monotonically
 increasing tie-breaker, so simultaneous events execute in scheduling order
-and runs are fully deterministic.
+and runs are fully deterministic.  The heap entry ``[time, seq, fn, args]``
+is the event's handle: :meth:`Simulator.schedule` returns it, and user
+code keeps it only to hand it to :meth:`Simulator.cancel`.
 """
 
 import itertools
@@ -24,35 +26,17 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling in the past, etc.)."""
 
 
-class Event:
-    """A scheduled callback: :meth:`Simulator.schedule` returns one, and
-    user code keeps it only to hand it to :meth:`Simulator.cancel`."""
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired")
-
-    def __init__(self, time, seq, fn, args):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-
-    def __repr__(self):
-        state = " cancelled" if self.cancelled else ""
-        name = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"<Event t={self.time:.3f} {name}{state}>"
-
-
 class Simulator:
     """Discrete-event simulator with a millisecond virtual clock.
 
-    Pending events live on a binary heap of ``(time, seq, event)``
-    entries.  ``seq`` is unique, so sift comparisons resolve on the two
-    scalar fields at C speed and never compare events.  Cancellation is
-    lazy: a cancelled event stays on the heap, counted as dead, and is
-    dropped when it reaches the top, so scheduling and cancelling are
-    both O(log n) and executing an event updates no counter.
+    Pending events live on a binary heap of ``[time, seq, fn, args]``
+    entries, each the opaque handle of its event.  ``seq`` is unique, so
+    sift comparisons resolve on the two scalar fields at C speed and
+    never compare callbacks.  Firing or cancelling an entry sets its
+    ``fn`` to None.  Cancellation is lazy: a cancelled entry stays on the
+    heap, counted as dead, and is dropped when it reaches the top, so
+    scheduling and cancelling are both O(log n) and executing an event
+    updates no counter.
 
     Parameters
     ----------
@@ -67,7 +51,7 @@ class Simulator:
         self.seed = seed
         self.rng = random.Random(seed)
         self.tracer = Tracer(self)
-        self._heap = []  # (time, seq, Event) entries
+        self._heap = []  # [time, seq, fn, args] entries
         self._counter = itertools.count()
         self._dead = 0  # cancelled entries still on the heap
         self._running = False
@@ -84,35 +68,32 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay, fn, *args):
         """Run ``fn(*args)`` after ``delay`` milliseconds of virtual time;
-        returns the :class:`Event` handle."""
+        returns the event's handle."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        time = self.now + delay
-        seq = next(self._counter)
-        event = Event(time, seq, fn, args)
-        heappush(self._heap, (time, seq, event))
-        return event
+        entry = [self.now + delay, next(self._counter), fn, args]
+        heappush(self._heap, entry)
+        return entry
 
     def schedule_at(self, time, fn, *args):
         """Run ``fn(*args)`` at absolute virtual time ``time``; returns
-        the :class:`Event` handle."""
+        the event's handle."""
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time} (now={self.now})")
-        seq = next(self._counter)
-        event = Event(time, seq, fn, args)
-        heappush(self._heap, (time, seq, event))
-        return event
+        entry = [time, next(self._counter), fn, args]
+        heappush(self._heap, entry)
+        return entry
 
-    def cancel(self, event):
-        """Cancel a previously scheduled event; idempotent.
+    def cancel(self, entry):
+        """Cancel a previously scheduled event by its handle; idempotent.
 
         Cancelling an event that already fired (or was already cancelled)
         is a true no-op: :attr:`pending` only ever accounts for events
-        that were actually pending.  The event stays on the heap, counted
+        that were actually pending.  The entry stays on the heap, counted
         as dead, and is discarded when it surfaces.
         """
-        if event is not None and not event.cancelled and not event.fired:
-            event.cancelled = True
+        if entry is not None and entry[2] is not None:
+            entry[2] = None
             self._dead += 1
 
     # ------------------------------------------------------------------
@@ -140,16 +121,17 @@ class Simulator:
                 if max_events is not None and executed >= max_events:
                     break
                 if heap:
-                    time, _, event = heap[0]
-                    if event.cancelled:
+                    entry = heap[0]
+                    fn = entry[2]
+                    if fn is None:
                         heappop(heap)
                         self._dead -= 1
                         continue
-                    if time <= horizon:
+                    if entry[0] <= horizon:
                         heappop(heap)
-                        event.fired = True
-                        self.now = time
-                        event.fn(*event.args)
+                        entry[2] = None
+                        self.now = entry[0]
+                        fn(*entry[3])
                         executed += 1
                         continue
                 # Heap drained, or the earliest live event lies beyond
@@ -186,7 +168,7 @@ class Simulator:
         while True:
             if predicate():
                 return True
-            while heap and heap[0][2].cancelled:
+            while heap and heap[0][2] is None:
                 heappop(heap)
                 self._dead -= 1
             if not heap:

@@ -49,14 +49,14 @@ def test_cancel_after_fire_is_true_noop():
     sim.schedule(2.0, fired.append, 2)
     sim.run(until=1.5)
     assert fired == [1]
-    assert first.fired
+    assert sim.pending == 1  # the first event fired; the second waits
 
     sim.cancel(first)  # stale: the event already executed
-    assert not first.cancelled
     assert sim.pending == 1
 
     sim.run()
     assert fired == [1, 2]
+    assert sim.pending == 0
 
 
 def test_repeated_stale_cancels_do_not_undercount():
@@ -82,12 +82,12 @@ def test_timer_restart_after_fire_keeps_queue_consistent():
     timer.start(5.0)
     sim.run()
     assert fires == [5.0]
-    timer.stop()  # timer cleared _event on fire; stop is a no-op
-    sentinel = sim.schedule(1.0, fires.append, -1.0)
+    timer.stop()  # timer cleared its handle on fire; stop is a no-op
+    sim.schedule(1.0, fires.append, -1.0)
     assert sim.pending == 1
     sim.run()
     assert fires == [5.0, -1.0]
-    assert sentinel.fired
+    assert sim.pending == 0
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Simulator
 
 
 def test_events_run_in_time_order():
@@ -17,12 +17,15 @@ def test_events_run_in_time_order():
 def test_ties_broken_by_insertion_order():
     sim = Simulator()
     seen = []
-    first = sim.schedule(2.0, seen.append, "a")
-    second = sim.schedule_at(2.0, seen.append, "b")
-    assert (first.time, second.time) == (2.0, 2.0)
-    assert first.seq < second.seq
+
+    def record(tag):
+        seen.append((tag, sim.now))
+
+    sim.schedule(2.0, record, "a")
+    sim.schedule_at(2.0, record, "b")
+    assert sim.pending == 2
     sim.run()
-    assert seen == ["a", "b"]
+    assert seen == [("a", 2.0), ("b", 2.0)]
 
 
 def test_cancelled_events_are_skipped():
@@ -31,9 +34,10 @@ def test_cancelled_events_are_skipped():
     sim.schedule(1.0, seen.append, "keep")
     drop = sim.schedule(0.5, seen.append, "drop")
     sim.cancel(drop)
+    assert sim.pending == 1
     assert sim.run() == 1
     assert seen == ["keep"]
-    assert not drop.fired
+    assert sim.pending == 0
 
 
 def test_pending_counts_live_events():
@@ -63,13 +67,15 @@ def test_many_events_pop_in_global_order():
 
 
 def test_repr_mentions_state():
+    # Handles are opaque; the simulator's repr shows the clock and what
+    # is still pending.
     sim = Simulator()
-    event = sim.schedule(1.5, test_repr_mentions_state)
-    assert isinstance(event, Event)
-    assert "1.5" in repr(event)
-    assert "test_repr_mentions_state" in repr(event)
-    sim.cancel(event)
-    assert "cancelled" in repr(event)
+    handle = sim.schedule(1.5, test_repr_mentions_state)
+    assert repr(sim) == "<Simulator t=0.0ms pending=1>"
+    sim.cancel(handle)
+    assert repr(sim) == "<Simulator t=0.0ms pending=0>"
+    sim.run(until=1.5)
+    assert repr(sim) == "<Simulator t=1.5ms pending=0>"
 
 
 def test_run_until_skips_cancelled_events():
