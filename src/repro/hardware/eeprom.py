@@ -49,10 +49,6 @@ class Eeprom:
         self.fault_hook = None  # fn(key, data) -> data, or raises
         self.failed_writes = 0  # writes aborted by the fault hook
 
-    @staticmethod
-    def _lines(nbytes):
-        return max(1, -(-nbytes // LINE_BYTES))
-
     def write(self, key, data, nbytes=None):
         """Store ``data`` under ``key``; ``nbytes`` defaults to len(data)."""
         if self.fault_hook is not None:
@@ -72,7 +68,7 @@ class Eeprom:
         self._store[key] = data
         self._sizes[key] = nbytes
         self.used_bytes += nbytes - previous
-        self.write_ops += self._lines(nbytes)
+        self.write_ops += -(-nbytes // LINE_BYTES) or 1  # lines, at least 1
         self.write_counts[key] = self.write_counts.get(key, 0) + 1
         return self.write_counts[key]
 
@@ -92,7 +88,7 @@ class Eeprom:
     def read(self, key):
         """Return the data stored under ``key`` (KeyError if absent)."""
         data = self._store[key]
-        self.read_ops += self._lines(self._sizes[key])
+        self.read_ops += -(-self._sizes[key] // LINE_BYTES) or 1
         return data
 
     def peek(self, key):

@@ -47,7 +47,9 @@ closest-point-of-approach optimization of per-bit simulation):
   object;
 * communication ranges are frozen per power level at first use, so the
   neighbor cache can never silently go stale; call
-  :meth:`invalidate_neighbors` after reconfiguring propagation.
+  :meth:`invalidate_neighbors` after reconfiguring propagation.  A frame
+  reads its sender's ``(range, listeners)`` from that cache in one
+  lookup.
 """
 
 from types import MappingProxyType
@@ -96,7 +98,8 @@ class Channel:
         self.propagation = propagation
         self._rng = derive_rng(seed, "channel")
         self._radios = {}
-        self._neighbor_cache = {}
+        # (node id, power level) -> (range_ft, nodes within that range)
+        self._reach = {}
         # Power level -> range_ft pinned at first use (stale-cache guard).
         self._frozen_range = {}
         self._active = {}  # src node id -> _Transmission
@@ -218,21 +221,24 @@ class Channel:
             raise RuntimeError(
                 "cannot invalidate neighbor caches mid-transmission"
             )
-        self._neighbor_cache.clear()
+        self._reach.clear()
         self._frozen_range.clear()
         self._ber_cache.clear()
         self._decode_cache.clear()
 
+    def _reach_of(self, node_id, power_level):
+        """``(range_ft, nodes within it)`` for ``node_id`` transmitting at
+        ``power_level``, cached (topology is static)."""
+        range_ft = self._range_for(power_level)
+        reach = self._reach[node_id, power_level] = (
+            range_ft, self.topology.nodes_within(node_id, range_ft))
+        return reach
+
     def neighbors(self, node_id, power_level):
         """Nodes within range of ``node_id`` transmitting at ``power_level``
         (cached; topology is static).  Callers must not mutate the list."""
-        key = (node_id, power_level)
-        cached = self._neighbor_cache.get(key)
-        if cached is None:
-            range_ft = self._range_for(power_level)
-            cached = self.topology.nodes_within(node_id, range_ft)
-            self._neighbor_cache[key] = cached
-        return cached
+        return (self._reach.get((node_id, power_level))
+                or self._reach_of(node_id, power_level))[1]
 
     def airtime_ms(self, frame):
         return frame.on_air_bytes * 8.0 / MICA2_BITRATE_KBPS
@@ -275,14 +281,14 @@ class Channel:
             raise RuntimeError(f"node {src}: transmit with radio off")
         if src in self._active:
             raise RuntimeError(f"node {src}: already transmitting")
-        airtime = self.airtime_ms(frame)
-        range_ft = self._range_for(radio.power_level)
-        listeners = self.neighbors(src, radio.power_level)
+        airtime = frame.on_air_bytes * 8.0 / MICA2_BITRATE_KBPS  # airtime_ms
+        range_ft, listeners = (self._reach.get((src, radio.power_level))
+                               or self._reach_of(src, radio.power_level))
         now = self.sim.now
         tx = _Transmission(src, frame, now, now + airtime, range_ft,
                            listeners)
         self._active[src] = tx
-        radio.tx_started()
+        radio.transmitting = True
         kind = type(frame.payload).__name__
         self.tx_log.append((now, src, kind))
         tracer = self.sim.tracer
@@ -346,7 +352,9 @@ class Channel:
             return
         src = tx.src
         del self._active[src]
-        self._release_carrier(tx)
+        carrier = self._carrier  # _release_carrier, inline
+        for dst in tx.listeners:
+            carrier[dst] -= 1
         radios = self._radios
         radios[src].tx_finished(self.sim.now - tx.start)
         # Resolve receptions at the nodes this frame actually reached --

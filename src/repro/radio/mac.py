@@ -112,13 +112,15 @@ class CsmaMac:
         self._in_flight = None
         if self.on_send_done is not None:
             self.on_send_done(frame.payload)
-        self._pump()
+        if self._queue:  # frames wait behind this one
+            self._pump()
 
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
     def _deliver(self, frame):
-        if frame.dst not in (BROADCAST, self.radio.node_id):
+        dst = frame.dst
+        if dst != BROADCAST and dst != self.radio.node_id:
             return
         if self.on_receive is not None:
             self.on_receive(frame)

@@ -95,7 +95,9 @@ class Radio:
             return
         self._rx_count -= 1
         if self._rx_count == 0:
-            self._close_rx_interval()
+            # The interval rx_began opened closes here, inline.
+            self._rx_ms += self.sim.now - self._rx_since
+            self._rx_since = None
 
     def deliver(self, frame):
         """Called by the channel when a frame decodes successfully."""
