@@ -37,20 +37,25 @@ class BitVector:
     # ------------------------------------------------------------------
     # Bit operations
     # ------------------------------------------------------------------
-    def _check(self, i):
-        if not 0 <= i < self.n:
-            raise IndexError(f"bit {i} out of range 0..{self.n - 1}")
+    def _out_of_range(self, i):
+        """The error for index ``i``.  ``set``, ``clear`` and ``test``
+        check their index inline: they run once per data packet, where a
+        checking call would cost as much as the operation."""
+        return IndexError(f"bit {i} out of range 0..{self.n - 1}")
 
     def set(self, i):
-        self._check(i)
+        if not 0 <= i < self.n:
+            raise self._out_of_range(i)
         self._bits |= 1 << i
 
     def clear(self, i):
-        self._check(i)
+        if not 0 <= i < self.n:
+            raise self._out_of_range(i)
         self._bits &= ~(1 << i)
 
     def test(self, i):
-        self._check(i)
+        if not 0 <= i < self.n:
+            raise self._out_of_range(i)
         return bool(self._bits >> i & 1)
 
     def union(self, other):
@@ -76,12 +81,14 @@ class BitVector:
         return (self._bits & -self._bits).bit_length() - 1
 
     def iter_set(self):
-        """Yield indices of set bits in increasing order."""
+        """Indices of set bits in increasing order (a list)."""
+        indices = []
         bits = self._bits
         while bits:
             low = bits & -bits
-            yield low.bit_length() - 1
+            indices.append(low.bit_length() - 1)
             bits ^= low
+        return indices
 
     def copy(self):
         return BitVector(self.n, self._bits)

@@ -115,6 +115,7 @@ class ImageNode:
         self.got_code_time = None
         self.parent = None  # the node we download (or last downloaded) from
         self._base_image = None  # the image this node was handed whole
+        self._per_packet = None  # _per_packet_ms for this program
 
         # Secure OTA pipeline (repro.core.auth), default off: with no
         # SecurityConfig nothing here draws randomness or changes a byte.
@@ -133,6 +134,7 @@ class ImageNode:
         it into flash and mark every segment received at ``now``."""
         self._base_image = image
         self.program = ProgramInfo.of_image(image)
+        self._per_packet = None
         if self.security is not None:
             from repro.core.auth import ImageManifest
 
@@ -219,6 +221,7 @@ class ImageNode:
         """Stage ``program`` from scratch: no segment received, no
         loss tracker, not complete."""
         self.program = program
+        self._per_packet = None
         self.rvd_seg = 0
         self._seg_missing.clear()
         self.got_code_time = None
@@ -288,10 +291,14 @@ class ImageNode:
 
     def _per_packet_ms(self):
         """Expected time to put one data packet on the air, incl. the
-        protocol's ``data_gap_ms`` pacing."""
-        wire = self._sample_data_packet().wire_bytes() + PHY_OVERHEAD_BYTES
-        airtime = wire * 8.0 / MICA2_BITRATE_KBPS
-        return airtime + self.data_gap_ms
+        protocol's ``data_gap_ms`` pacing; worked out once per program
+        (a coded frame's size depends on the segment length)."""
+        if self._per_packet is None:
+            wire = self._sample_data_packet().wire_bytes() \
+                + PHY_OVERHEAD_BYTES
+            airtime = wire * 8.0 / MICA2_BITRATE_KBPS
+            self._per_packet = airtime + self.data_gap_ms
+        return self._per_packet
 
     def _segment_time_ms(self):
         """Expected time to put one full segment on the air."""
