@@ -6,6 +6,8 @@ implementations (MNP, Deluge, ...) are written against this object; they
 never talk to the channel directly.
 """
 
+from functools import partial
+
 from repro.hardware.battery import Battery
 from repro.hardware.bootloader import Bootloader
 from repro.hardware.eeprom import Eeprom
@@ -59,6 +61,9 @@ class Mote:
         # when the node dies is inert instead of mutating protocol state.
         self.alive = True
         self.crashed_at = None
+        # The timers' guard: a C-level zero-argument callable reading
+        # ``alive``, so a timer fire runs no Python frame to check it.
+        self._alive_guard = partial(getattr, self, "alive")
 
     @property
     def position(self):
@@ -71,10 +76,7 @@ class Mote:
         node crashed must not fire afterwards (its MCU is dead).
         """
         return Timer(self.sim, callback, name=f"n{self.node_id}:{name}",
-                     guard=self._timers_allowed)
-
-    def _timers_allowed(self):
-        return self.alive
+                     guard=self._alive_guard)
 
     def reboot(self):
         """Record installation of the new image (driven by the external
