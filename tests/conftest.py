@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.segments import CodeImage
@@ -9,6 +11,7 @@ from repro.net.topology import Topology
 from repro.radio.channel import Channel
 from repro.radio.propagation import PropagationModel
 from repro.sim.kernel import Simulator
+from repro.sim.tracing import pop_tap, push_tap
 
 
 class World:
@@ -52,3 +55,15 @@ def small_image():
 
 def make_world(positions, **kwargs):
     return World(positions, **kwargs)
+
+
+@contextmanager
+def tapped(*categories):
+    """Collect the records of ``categories`` that every simulator built
+    inside the block emits (a thread-local tracer tap), in order."""
+    records = []
+    tap = push_tap(records.append, categories=categories)
+    try:
+        yield records
+    finally:
+        pop_tap(tap)
