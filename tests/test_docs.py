@@ -52,3 +52,30 @@ def test_drift_lint_reports_documented_but_unread_env_var():
     corpus = ("`REPRO_SCALE=smoke`, `REPRO_WORKERS=2` and "
               "`REPRO_MADE_UP_KNOB=1`")
     assert check_docs.stale_env_vars(corpus) == ["REPRO_MADE_UP_KNOB"]
+
+
+def _emitted_categories():
+    """Trace categories named by an ``emit("...")`` or ``watches("...")``
+    literal anywhere under ``src/``."""
+    import re
+
+    pattern = re.compile(r'\b(?:emit|watches)\(\s*"([^"]+)"')
+    return {
+        category
+        for path in (REPO / "src").rglob("*.py")
+        for category in pattern.findall(path.read_text(encoding="utf-8"))
+    }
+
+
+def test_listed_trace_categories_are_emitted():
+    """Every category the watchdog, the service's progress stream or the
+    call-cost test names is emitted somewhere, so a half-done rename of a
+    category cannot leave a listener waiting for records that never come."""
+    from repro.faults.watchdog import WATCHED
+    from repro.service.jobs import PROGRESS_CATEGORIES
+
+    from tests.test_trace_cost import HOT_CATEGORIES
+
+    emitted = _emitted_categories()
+    for listed in (WATCHED, PROGRESS_CATEGORIES, HOT_CATEGORIES):
+        assert set(listed) <= emitted, sorted(set(listed) - emitted)
