@@ -203,6 +203,30 @@ def test_events_stream_is_deterministic(tmp_path, workers):
     assert "trace" in names            # real simulation milestones
 
 
+def test_baseline_probe_streams_got_code(tmp_path):
+    """A baseline's got-code milestones stream under the one name every
+    protocol traces them with, carrying the parent as MNP's do: one per
+    node of the six-node Deluge probe but its base station."""
+
+    async def body(svc, host, port):
+        client = ServiceClient(host, port)
+        try:
+            payload = dict(probe_payload(seed=3), protocol="deluge")
+            submitted = await client.submit(payload)
+            await client.wait(submitted["job"], timeout_s=60)
+            chunk = await client.events(submitted["job"])
+        finally:
+            await client.close()
+        assert chunk["events_dropped"] == 0
+        return [e for e in chunk["events"] if e["event"] == "trace"]
+
+    traces = asyncio.run(_serve(tmp_path, 1, body))
+    got_code = [e for e in traces if e["category"] == "mnp.got_code"]
+    assert len(got_code) == 5
+    assert len({e["node"] for e in got_code}) == 5
+    assert all("parent" in e for e in got_code)
+
+
 # ----------------------------------------------------------------------
 # Cancellation
 # ----------------------------------------------------------------------
