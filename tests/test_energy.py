@@ -66,3 +66,46 @@ def test_node_energy_combines_radio_and_eeprom():
     expected = model.radio_energy_nah(1, 2, radio.idle_listen_ms()) + \
         model.eeprom_energy_nah(0, 1)
     assert model.node_energy_nah(radio, flash) == pytest.approx(expected)
+
+
+def _stock():
+    from repro.experiments.common import grid_deployment
+
+    return grid_deployment(5, 5, "mnp", 2, 16, 2).run_to_completion()
+
+
+def _coded_secure():
+    from repro.core.auth import SecurityConfig
+    from repro.experiments.common import grid_deployment
+
+    return grid_deployment(
+        4, 4, "coded_mnp", 2, 16, 5, security=SecurityConfig(enabled=True),
+    ).run_to_completion()
+
+
+def _deluge():
+    from repro.experiments.common import grid_deployment
+
+    return grid_deployment(5, 5, "deluge", 2, 16, 2).run_to_completion()
+
+
+def _crashed():
+    from repro.experiments.chaos import run_chaos, standard_plan
+
+    return run_chaos(standard_plan("crash", 0.7, 5, 5), rows=5, cols=5,
+                     n_segments=1, segment_packets=16, seed=2)
+
+
+@pytest.mark.parametrize("scenario", [_stock, _coded_secure, _deluge,
+                                      _crashed],
+                         ids=["stock", "coded_secure", "deluge", "crash"])
+def test_idle_listen_time_is_never_negative(scenario):
+    """Radio-on time always covers the time spent transmitting and
+    receiving, so the idle remainder needs no clamp: it is read as is,
+    and it is never below zero, with no tolerance."""
+    run = scenario()
+    assert run.all_complete
+    for radio in run.deployment.channel.radios.values():
+        idle = radio.on_time_ms() - radio.tx_time_ms() - radio.rx_time_ms()
+        assert idle >= 0.0, radio
+        assert radio.idle_listen_ms() == idle
