@@ -1,9 +1,10 @@
 """Deterministic cost proxies on seeded runs.
 
-Per-frame metrics come from the channel's own counts, and the hot
-protocol emits are guarded by ``Tracer.watches``, so a run whose only
-subscriber is the metrics collector makes no ``Tracer.emit`` call for a
-per-frame or per-state-change category.
+Per-frame metrics come from the channel's own counts, run milestones
+from the nodes, and the hot protocol emits are guarded by
+``Tracer.watches``, so a plain run subscribes nothing to the tracer and
+makes no ``Tracer.emit`` call for a per-frame or per-state-change
+category.
 
 The call ledger pins how many Python calls each layer of the stack makes
 on three seeded runs: the stock 6x6 run, a small coded run with the
@@ -27,7 +28,6 @@ from repro.core.segments import CodeImage
 from repro.experiments.chaos import FaultedRun
 from repro.experiments.common import Deployment
 from repro.faults import FaultPlan
-from repro.metrics.collector import MetricsCollector
 from repro.net.loss_models import EmpiricalLossModel
 from repro.net.topology import Topology
 from repro.radio.propagation import PropagationModel
@@ -57,23 +57,43 @@ def _seeded_deployment():
     )
 
 
-def test_plain_run_emits_only_collector_milestones(monkeypatch):
+#: The run milestones: emitted unguarded, once per protocol step, and
+#: stamped on the node by the same call.
+MILESTONE_CATEGORIES = (
+    "mnp.sender",
+    "mnp.parent",
+    "mnp.got_segment",
+    "mnp.got_code",
+    "mnp.first_adv",
+    "mnp.fail",
+)
+
+
+def test_plain_run_subscribes_nothing(monkeypatch):
     calls = Counter()
+    subscribed = []
     emit = Tracer.emit
+    subscribe = Tracer.subscribe
 
     def counted(self, category, **fields):
         calls[category] += 1
         emit(self, category, **fields)
 
+    def counted_subscribe(self, fn, categories=None):
+        subscribed.append(fn)
+        return subscribe(self, fn, categories)
+
     monkeypatch.setattr(Tracer, "emit", counted)
+    monkeypatch.setattr(Tracer, "subscribe", counted_subscribe)
     result = _seeded_deployment().run_to_completion()
+    assert subscribed == []
     assert result.all_complete
     assert sum(result.messages_sent().values()) == 5126
     assert result.collector.collisions == 552
     assert sum(result.messages_received().values()) == 7320
     for category in HOT_CATEGORIES:
         assert calls[category] == 0, category
-    assert set(calls) <= set(MetricsCollector.CATEGORIES)
+    assert set(calls) <= set(MILESTONE_CATEGORIES)
     assert sum(calls.values()) == 696
 
 
