@@ -79,3 +79,37 @@ def test_listed_trace_categories_are_emitted():
     emitted = _emitted_categories()
     for listed in (WATCHED, PROGRESS_CATEGORIES, HOT_CATEGORIES):
         assert set(listed) <= emitted, sorted(set(listed) - emitted)
+
+
+#: Every trace category emitted under src/ (docs/simulator.md's table).
+TRACE_CATEGORIES = [
+    "auth.quarantine", "auth.reject",
+    "boot.install", "boot.reject",
+    "channel.collision",
+    "fault.adversary", "fault.brownout", "fault.crash", "fault.decode",
+    "fault.eeprom", "fault.restart",
+    "mnp.adv", "mnp.fail", "mnp.first_adv", "mnp.got_code",
+    "mnp.got_segment", "mnp.parent", "mnp.request", "mnp.sender",
+    "mnp.sender_done", "mnp.sleep", "mnp.state",
+    "radio.rx", "radio.tx",
+    "timer.fire", "timer.suppressed",
+]
+
+
+def test_trace_category_lint_sees_current_set():
+    """The lint collects every emitted category (26, one name per
+    milestone), and the docs table lists exactly those."""
+    check_docs = _check_docs()
+    assert check_docs.emitted_categories() == TRACE_CATEGORIES
+    assert check_docs.documented_categories() == TRACE_CATEGORIES
+
+
+def test_trace_category_lint_reports_both_directions():
+    """An emitted category missing from the table is drift, and so is a
+    table row whose category nothing emits any more."""
+    check_docs = _check_docs()
+    problems = check_docs.check_trace_categories(
+        emitted=["mnp.state", "radio.tx"],
+        documented=["mnp.state", "proto.sender"])
+    assert len(problems) == 2
+    assert "radio.tx" in problems[0] and "proto.sender" in problems[1]
