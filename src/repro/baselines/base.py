@@ -1,14 +1,14 @@
 """Shared machinery for the baseline protocol implementations.
 
 All baselines disseminate the same :class:`repro.core.segments.CodeImage`
-(pages == segments), store packets in the mote's EEPROM, and report
-progress through ``proto.*`` trace records that the metrics collector
-understands.  Unlike MNP they keep the radio on for the whole run, which is
-precisely the behaviour the paper's energy comparison exploits.
+(pages == segments) and store packets in the mote's EEPROM.  Unlike MNP
+they keep the radio on for the whole run, which is precisely the behaviour
+the paper's energy comparison exploits.
 
 The staged image itself -- ledger, flash keys, install path and the
-secure-OTA checks -- is :class:`repro.core.image_node.ImageNode`'s, as it
-is for MNP.
+secure-OTA checks -- and the run milestones (sender, parent, got-code),
+reported under the same ``mnp.*`` trace names as MNP's, are
+:class:`repro.core.image_node.ImageNode`'s, as they are for MNP.
 """
 
 from repro.core.image_node import ImageNode, ProgramInfo
@@ -111,7 +111,7 @@ class BaselineNode(ImageNode):
 
     def advance_progress(self):
         """Advance ``rvd_seg`` over every consecutively completed segment,
-        emitting progress traces; returns True if full image reached.
+        emitting progress traces; returns True if this call got the code.
 
         With security enabled every segment is digest-checked against the
         pre-provisioned manifest before it is accepted; a mismatch
@@ -130,11 +130,7 @@ class BaselineNode(ImageNode):
                 "mnp.got_segment", node=self.node_id, seg=self.rvd_seg,
                 parent=self.parent,
             )
-        if advanced and self.has_full_image and self.got_code_time is None:
-            self.got_code_time = self.sim.now
-            self.sim.tracer.emit("proto.got_code", node=self.node_id)
-            return True
-        return False
+        return advanced and self._report_got_code()
 
     # ------------------------------------------------------------------
     # Version adoption

@@ -173,9 +173,7 @@ class DelugeNode(BaselineNode):
         self.send(self._page_request(self.rvd_seg + 1))
         self._set_state(self.RX)
         self.parent = self._request_dest
-        self.sim.tracer.emit(
-            "proto.parent", node=self.node_id, parent=self.parent
-        )
+        self._report_parent()
         self._rx_timer.start(2 * self._segment_time_ms())
 
     def _page_request(self, page):
@@ -207,9 +205,7 @@ class DelugeNode(BaselineNode):
             self._set_state(self.TX)
             self._tx_page = req.page
             self._begin_tx_round(req)
-            self.sim.tracer.emit(
-                "proto.sender", node=self.node_id, seg=req.page, req_ctr=1
-            )
+            self._report_sender(req.page, 1)
             self._send_next_data()
         elif req.page == self.rvd_seg + 1 and self._request_timer.running \
                 and self.state != self.TX:

@@ -56,9 +56,7 @@ class FloodNode(BaselineNode):
                     for pkt in range(self.program.n_packets(seg))
                 ]
                 self._tx_timer.start(self.data_gap_ms)
-                self.sim.tracer.emit(
-                    "proto.sender", node=self.node_id, seg=1, req_ctr=0
-                )
+                self._report_sender(1, 0)
             return
         if not self._outbox:
             return
@@ -91,9 +89,7 @@ class FloodNode(BaselineNode):
         if isinstance(msg, FloodAdv):
             if self._adopt_version(msg):
                 self.parent = msg.source_id
-                self.sim.tracer.emit(
-                    "proto.parent", node=self.node_id, parent=self.parent
-                )
+                self._report_parent()
                 # Flood the announcement too, so nodes beyond the base's
                 # range learn the image geometry.
                 self.sim.schedule(

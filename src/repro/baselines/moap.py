@@ -147,10 +147,7 @@ class MoapNode(BaselineNode):
         self._publish_timer.stop()
         self._stream_seg = 1
         self._stream_pkt = 0
-        self.sim.tracer.emit(
-            "proto.sender", node=self.node_id, seg=1,
-            req_ctr=len(self._subscribers),
-        )
+        self._report_sender(1, len(self._subscribers))
         self._send_next_data()
 
     def _send_next_data(self):
@@ -215,9 +212,7 @@ class MoapNode(BaselineNode):
         if self.state != self.LISTEN or self.parent is None:
             return
         self.send(Subscribe(self.node_id, self.parent))
-        self.sim.tracer.emit(
-            "proto.parent", node=self.node_id, parent=self.parent
-        )
+        self._report_parent()
 
     def _handle_subscribe(self, sub):
         if sub.dest_id != self.node_id:

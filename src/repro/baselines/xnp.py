@@ -125,9 +125,7 @@ class XnpNode(BaselineNode):
                     for seg in range(1, self.program.n_segments + 1)
                     for pkt in range(self.program.n_packets(seg))
                 ]
-                self.sim.tracer.emit(
-                    "proto.sender", node=self.node_id, seg=1, req_ctr=0
-                )
+                self._report_sender(1, 0)
                 self._send_next()
         elif self.state == self.COLLECT:
             # End of NAK collection window: retransmit or query again.
@@ -164,9 +162,7 @@ class XnpNode(BaselineNode):
             return
         if self._adopt_version(adv):
             self.parent = adv.source_id
-            self.sim.tracer.emit(
-                "proto.parent", node=self.node_id, parent=self.parent
-            )
+            self._report_parent()
 
     def _handle_data(self, msg):
         if self.is_base or self.program is None or self.has_full_image:

@@ -10,7 +10,11 @@ node side of the secure OTA pipeline (:mod:`repro.core.auth`): segment
 digest checks, quarantine and the install through the bootloader.  It
 also keeps the node's role: each protocol declares its states and edges
 (:attr:`ImageNode.TRANSITIONS`), and every change of role goes through
-one checked, traced and logged funnel.  Subclasses only move packets.
+one checked, traced and logged funnel.  And it keeps the run milestones
+the paper's figures read back from each node -- its first turn as
+sender, its parent, its got-code time, its first advertisement -- each
+stamped by the one call that traces it, under one ``mnp.*`` name for
+every protocol.  Subclasses only move packets.
 :class:`CodedImage` swaps the data plane under either family for random
 linear network coding.
 """
@@ -114,6 +118,14 @@ class ImageNode:
         self._seg_missing = {}  # seg id -> loss tracker (persists)
         self.got_code_time = None
         self.parent = None  # the node we download (or last downloaded) from
+
+        # Run milestones (Figs. 5-7, 9), each stamped by the call that
+        # traces it: the first turn as sender (never reset), the parent
+        # of the last parent record, and (time, radio-on ms) when the
+        # first advertisement arrived (the MNP family only).
+        self.became_sender_at = None
+        self.reported_parent = None
+        self.first_adv = None
         self._base_image = None  # the image this node was handed whole
         self._per_packet = None  # _per_packet_ms for this program
 
@@ -200,6 +212,33 @@ class ImageNode:
         if state != self.state:
             self.state_changes.append((self.sim.now, self.state, state))
             self.state = state
+
+    # ------------------------------------------------------------------
+    # Run milestones: each report stamps the node and traces one record
+    # ------------------------------------------------------------------
+    def _report_sender(self, seg, req_ctr, **fields):
+        """A turn as sender of ``seg`` (``mnp.sender``); the first one
+        stamps ``became_sender_at``."""
+        if self.became_sender_at is None:
+            self.became_sender_at = self.sim.now
+        self.sim.tracer.emit("mnp.sender", node=self.node_id, seg=seg,
+                             req_ctr=req_ctr, **fields)
+
+    def _report_parent(self, **fields):
+        """``parent`` is the node we download from (``mnp.parent``)."""
+        self.reported_parent = self.parent
+        self.sim.tracer.emit("mnp.parent", node=self.node_id,
+                             parent=self.parent, **fields)
+
+    def _report_got_code(self):
+        """Stamp ``got_code_time`` and trace ``mnp.got_code`` the first
+        time the full image is staged; returns True then."""
+        if not self.has_full_image or self.got_code_time is not None:
+            return False
+        self.got_code_time = self.sim.now
+        self.sim.tracer.emit("mnp.got_code", node=self.node_id,
+                             parent=self.parent)
+        return True
 
     def __repr__(self):
         state = "" if self.state is None else f" {self.state}"

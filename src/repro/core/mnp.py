@@ -140,9 +140,7 @@ class MNPNode(ImageNode):
         self._nonce_seen = {}  # source id -> highest authenticated nonce
 
         # Statistics.
-        self.sender_rounds = 0
         self.fails = 0
-        self.heard_first_adv = False
         # Consecutive FAIL -> IDLE cycles since the last completed
         # segment; drives the request backoff (MNPConfig.fail_backoff_*).
         self._fail_streak = 0
@@ -412,16 +410,12 @@ class MNPNode(ImageNode):
     def _enter_forward(self):
         self._stop_all_timers()
         self._set_state(MNPState.FORWARD)
-        self.sender_rounds += 1
         if self.config.battery_aware_power:
             # Data is streamed at full power; only advertisements scale.
             self.mote.radio.power_level = self.mote.config.power_level
         n_packets = self.program.n_packets(self.offer_seg)
         packets = self._plan_round(n_packets, self.config.forward_vector)
-        self.sim.tracer.emit(
-            "mnp.sender", node=self.node_id, seg=self.offer_seg,
-            req_ctr=self.req_ctr, packets=packets,
-        )
+        self._report_sender(self.offer_seg, self.req_ctr, packets=packets)
         start = StartDownload(self.node_id, self.offer_seg, n_packets)
         self.mote.mac.send(start, start.wire_bytes())
         # Data packets flow from _on_send_done pacing.
@@ -612,9 +606,7 @@ class MNPNode(ImageNode):
         self._set_state(MNPState.DOWNLOAD)
         self.parent = parent
         self.download_seg = seg_id
-        self.sim.tracer.emit(
-            "mnp.parent", node=self.node_id, parent=parent, seg=seg_id
-        )
+        self._report_parent(seg=seg_id)
         self._download_timeout = self._download_timeout_ms()
         self._download_timer.start(self._download_timeout)
 
@@ -668,13 +660,8 @@ class MNPNode(ImageNode):
             "mnp.got_segment", node=self.node_id, seg=seg_id,
             parent=self.parent,
         )
-        if self.has_full_image and self.got_code_time is None:
-            self.got_code_time = self.sim.now
-            self.sim.tracer.emit(
-                "mnp.got_code", node=self.node_id, parent=self.parent
-            )
-            if self.config.auto_reboot:
-                self.mote.reboot()
+        if self._report_got_code() and self.config.auto_reboot:
+            self.mote.reboot()
         self._stop_all_timers()
         if self._can_advertise():
             self._adv_interval = self.config.adv_interval_ms
@@ -798,13 +785,11 @@ class MNPNode(ImageNode):
                 # which assumes a single version per §2.)
                 self._reset_to_idle()
                 self.mote.wake_radio()
-        if not self.heard_first_adv:
-            self.heard_first_adv = True
-            self.sim.tracer.emit(
-                "mnp.first_adv",
-                node=self.node_id,
-                radio_on_ms=self.mote.radio.on_time_ms(),
-            )
+        if self.first_adv is None:
+            radio_on_ms = self.mote.radio.on_time_ms()
+            self.first_adv = (self.sim.now, radio_on_ms)
+            self.sim.tracer.emit("mnp.first_adv", node=self.node_id,
+                                 radio_on_ms=radio_on_ms)
 
     def _needs_code_from(self, adv):
         return (

@@ -164,7 +164,7 @@ class RunResult:
         totals = self.active_radio_ms()
         out = {}
         for node_id, total in totals.items():
-            snapshot = self.collector.first_adv.get(node_id)
+            snapshot = self.nodes[node_id].first_adv
             before = snapshot[1] if snapshot is not None else 0.0
             out[node_id] = max(0.0, total - before)
         return out
@@ -214,7 +214,7 @@ class RunResult:
 
     def parent_map(self):
         """node -> the parent it last downloaded from (Figs. 5-7)."""
-        return dict(self.collector.parents)
+        return self.collector.parents
 
     def sender_order(self):
         return self.collector.sender_order()
@@ -332,7 +332,6 @@ class Deployment:
         self.channel = Channel(
             self.sim, topology, self.loss_model, self.propagation, seed=seed
         )
-        self.collector = MetricsCollector(self.sim, self.channel)
         self.mote_config = mote_config or MoteConfig()
         self.base_id = (
             topology.corner_node("bottom-left") if base_id is None else base_id
@@ -356,6 +355,7 @@ class Deployment:
             if groups_by_node is not None and hasattr(node, "groups"):
                 node.groups = frozenset(groups_by_node.get(node_id, ()))
             self.nodes[node_id] = node
+        self.collector = MetricsCollector(self.channel, self.nodes)
         self.security = security
         if security is not None and security.enabled:
             self._arm_security(security)

@@ -220,7 +220,8 @@ def initial_sleep_schedule(rows=10, cols=10, n_segments=2, duty=0.5,
         if schedule:
             def tick(off):
                 for node in dep.nodes.values():
-                    if node.heard_first_adv or node is dep.nodes[dep.base_id]:
+                    if node.first_adv is not None \
+                            or node is dep.nodes[dep.base_id]:
                         continue
                     if node.state != MNPState.IDLE:
                         continue

@@ -20,8 +20,8 @@ Invariants checked:
   and no node may end the run parked in FAIL.
 * **Dead nodes are silent** -- after ``fault.crash`` (until
   ``fault.restart``) a node must produce no timer fires and no protocol
-  records (``mnp.*`` and the baselines' ``proto.*`` alike): its timers
-  are guard-suppressed and its radio is off.
+  records (``mnp.*``, which every protocol emits): its timers are
+  guard-suppressed and its radio is off.
 * **One sender per neighborhood** -- two nodes in radio range of each
   other streaming simultaneously (both in FORWARD/QUERY with their
   radios up) is what the §3.1 sender-selection competition exists to
@@ -55,9 +55,8 @@ STALL_MS = 10 * MINUTE
 #: Categories the watchdog listens to.
 WATCHED = (
     "mnp.state", "mnp.sender", "mnp.sender_done", "mnp.sleep",
-    "mnp.got_code", "proto.got_code", "mnp.adv", "mnp.request",
+    "mnp.got_code", "mnp.adv", "mnp.request",
     "mnp.parent", "mnp.got_segment", "mnp.fail",
-    "proto.sender", "proto.parent",
     "timer.fire", "timer.suppressed",
     "fault.crash", "fault.restart", "fault.brownout",
     "boot.install", "boot.reject", "auth.reject", "auth.quarantine",
@@ -170,7 +169,7 @@ class InvariantWatchdog:
                     f"timer {rec.name!r} fired on crashed node {node}",
                     node=node,
                 )
-        elif category in ("mnp.got_code", "proto.got_code"):
+        elif category == "mnp.got_code":
             self._check_dead(rec.node, category)
             self._complete.add(rec.node)
         elif category == "fault.crash":

@@ -1,12 +1,14 @@
 """Measurement infrastructure.
 
-The collector subscribes to the simulator's trace bus and accumulates
-exactly the quantities the paper's evaluation section reports: per-node
-active radio time (with and without the initial idle-listening period),
-message transmissions/receptions by type and location, collision counts,
-get-code times, parent-child relationships, and the order in which nodes
-become senders.  The reports module renders them as the tables and
-grid-heatmap figures of the paper.
+The collector reads what the run's objects keep -- it subscribes to
+nothing: message transmissions and receptions by type and location and
+collision counts from the channel and its radios, parent-child
+relationships, the order in which nodes become senders and first
+advertisements from the nodes' milestones.  Active radio time and
+get-code times come straight from the radios and nodes
+(:class:`repro.experiments.common.RunResult`).  The reports module
+renders them as the tables and grid-heatmap figures of the paper; the
+export module writes a run's trace records to a file.
 """
 
 from repro.metrics.collector import MetricsCollector

@@ -1,45 +1,55 @@
 """Metrics collection for one run.
 
-A :class:`MetricsCollector` is attached to a simulator *before* the run.
-Protocol milestones (senders, parents, segments, completions, first
-advertisements, fails) come from trace records; per-frame counts
-(transmissions, decoded frames, collisions) are read from the channel
-and its radios, which count every frame themselves -- the same way
-energy comes from the radios' time integrals.  At the end of the run the
-experiment harness combines both into the paper's metrics.  Collection
-is entirely passive -- protocols are unaware of it.
+A :class:`MetricsCollector` reads what the run's objects keep; it
+subscribes to nothing.  Run milestones (sender order, parents, first
+advertisements) are stamped on the nodes by the calls that trace them;
+per-frame counts (transmissions, decoded frames, collisions) are read
+from the channel and its radios, which count every frame themselves --
+the same way energy comes from the radios' time integrals.  At the end
+of the run the experiment harness combines both into the paper's
+metrics.  Protocols are unaware of it.
 """
 
-from collections import Counter, defaultdict
+from collections import Counter
 
 
 class MetricsCollector:
-    """Protocol milestones from trace records, per-frame counts from
-    ``channel``."""
+    """Milestones read from ``nodes``, per-frame counts from ``channel``."""
 
-    CATEGORIES = (
-        "mnp.sender",
-        "mnp.parent",
-        "mnp.got_segment",
-        "mnp.got_code",
-        "mnp.first_adv",
-        "mnp.fail",
-        "proto.sender",
-        "proto.parent",
-        "proto.got_code",
-    )
-
-    def __init__(self, sim, channel):
-        self.sim = sim
+    def __init__(self, channel, nodes):
         self.channel = channel
-        # Protocol progress
-        self.got_code = {}  # node -> time
-        self.got_segment = defaultdict(dict)  # node -> seg -> (time, parent)
-        self.parents = {}  # node -> last parent used
-        self.sender_events = []  # (time, node, seg, req_ctr)
-        self.first_adv = {}  # node -> (time, radio_on_ms at that instant)
-        self.fails = Counter()
-        sim.tracer.subscribe(self._on_record, categories=self.CATEGORIES)
+        self.nodes = nodes  # node id -> ImageNode
+
+    # ------------------------------------------------------------------
+    # Milestones the nodes keep (read-only)
+    # ------------------------------------------------------------------
+    @property
+    def parents(self):
+        """node -> the parent its last parent record named."""
+        return {
+            node_id: node.reported_parent
+            for node_id, node in self.nodes.items()
+            if node.reported_parent is not None
+        }
+
+    @property
+    def first_adv(self):
+        """node -> ``(time, radio_on_ms)`` when its first advertisement
+        arrived (the MNP family only)."""
+        return {
+            node_id: node.first_adv
+            for node_id, node in self.nodes.items()
+            if node.first_adv is not None
+        }
+
+    def sender_order(self):
+        """Nodes in the order they first became senders (Figs. 5-7),
+        ties broken by node id."""
+        return [node_id for _, node_id in sorted(
+            (node.became_sender_at, node_id)
+            for node_id, node in self.nodes.items()
+            if node.became_sender_at is not None
+        )]
 
     # ------------------------------------------------------------------
     # Per-frame views over the channel's own counts (read-only)
@@ -56,14 +66,6 @@ class MetricsCollector:
         return Counter(node for _, node, _ in self.channel.tx_log)
 
     @property
-    def tx_by_node_kind(self):
-        """node -> payload kind -> transmissions started."""
-        counts = defaultdict(Counter)
-        for _, node, kind in self.channel.tx_log:
-            counts[node][kind] += 1
-        return counts
-
-    @property
     def rx_by_node(self):
         """node -> frames decoded, for nodes that decoded at least one."""
         return Counter({
@@ -76,39 +78,6 @@ class MetricsCollector:
     def collisions(self):
         """Receptions corrupted by an overlapping transmission."""
         return self.channel.collisions
-
-    # ------------------------------------------------------------------
-    def _on_record(self, rec):
-        fields = rec.fields
-        category = rec.category
-        if category in ("mnp.sender", "proto.sender"):
-            self.sender_events.append(
-                (rec.time, fields["node"], fields.get("seg"),
-                 fields.get("req_ctr"))
-            )
-        elif category in ("mnp.parent", "proto.parent"):
-            self.parents[fields["node"]] = fields["parent"]
-        elif category == "mnp.got_segment":
-            self.got_segment[fields["node"]][fields["seg"]] = (
-                rec.time, fields["parent"],
-            )
-        elif category in ("mnp.got_code", "proto.got_code"):
-            self.got_code.setdefault(fields["node"], rec.time)
-        elif category == "mnp.first_adv":
-            self.first_adv[fields["node"]] = (rec.time, fields["radio_on_ms"])
-        elif category == "mnp.fail":
-            self.fails[fields["node"]] += 1
-
-    # ------------------------------------------------------------------
-    # Derived series
-    # ------------------------------------------------------------------
-    def sender_order(self):
-        """Nodes in the order they first became senders (Figs. 5-7)."""
-        seen = []
-        for _, node, _, _ in sorted(self.sender_events):
-            if node not in seen:
-                seen.append(node)
-        return seen
 
     def tx_per_window(self, window_ms, kinds=None, until=None):
         """Message transmissions bucketed into fixed windows (Fig. 12).
@@ -125,9 +94,3 @@ class MetricsCollector:
             if kind in series and time <= until:
                 series[kind][int(time // window_ms)] += 1
         return series
-
-    def completion_time(self, n_nodes):
-        """Time the last of ``n_nodes`` nodes got the full image, or None."""
-        if len(self.got_code) < n_nodes:
-            return None
-        return max(self.got_code.values())

@@ -43,7 +43,7 @@ from repro.sim import tracing
 #: only -- subscribing to hot categories (radio.tx, ...) would defeat the
 #: tracer's unwatched-category fast path and slow every job down.
 PROGRESS_CATEGORIES = (
-    "proto.got_code", "mnp.got_code",
+    "mnp.got_code",
     "boot.install", "boot.reject",
     "fault.crash", "fault.restart",
 )

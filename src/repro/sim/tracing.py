@@ -1,13 +1,16 @@
 """Lightweight tracing bus for simulation runs.
 
 Components emit structured trace records (category + fields); subscribers --
-metric collectors, the invariant watchdog, trace writers, tests -- receive
-them synchronously.  Protocol milestones reach the metrics layer as trace
-records, so protocol code never needs to know which figures are being
-produced.  Per-frame counts (transmissions, decoded frames, collisions) are
-read from the channel and radio counters instead, the same way energy comes
-from the radios' time integrals; their records are emitted only when
-something subscribes to them.
+the invariant watchdog, trace writers, the service's progress stream,
+tests -- receive them synchronously.  The bus serves live observers only:
+the metrics collector subscribes to nothing.  Run milestones (senders,
+parents, got-code times) are stamped on the nodes by the same calls that
+trace them, and per-frame counts (transmissions, decoded frames,
+collisions) are read from the channel and radio counters, the same way
+energy comes from the radios' time integrals.  A record with no
+subscriber costs one dict lookup and is never built, and the per-frame
+and per-state-change records are emitted only when something subscribes
+to them.
 
 Thread-local *taps* let a harness observe simulations it does not
 construct: :func:`push_tap` registers a subscriber that every

@@ -7,6 +7,8 @@ from repro.net.topology import Topology
 from repro.radio.propagation import PropagationModel
 from repro.sim.kernel import MINUTE
 
+from tests.conftest import tapped
+
 
 def run(topo, image, seed=0, loss=None, deadline_min=60):
     dep = Deployment(
@@ -39,11 +41,13 @@ def test_hop_by_hop_no_early_forwarding():
     """MOAP's defining property: a node advertises (publishes) only after
     holding the complete image."""
     image = image2()
-    dep, res = run(Topology.line(4, 20), image, seed=2)
+    with tapped("mnp.sender") as senders:
+        dep, res = run(Topology.line(4, 20), image, seed=2)
     assert res.all_complete
-    for time, node, _, _ in dep.collector.sender_events:
-        n = dep.nodes[node]
-        assert n.got_code_time is not None and time >= n.got_code_time
+    assert senders
+    for rec in senders:
+        n = dep.nodes[rec.node]
+        assert n.got_code_time is not None and rec.time >= n.got_code_time
 
 
 def test_nak_repair_on_lossy_channel():

@@ -1,5 +1,7 @@
 """Tests for the metrics collector and report rendering."""
 
+from repro.core.image_node import ProgramInfo
+from repro.core.mnp import MNPNode
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.reports import (
     format_grid,
@@ -15,11 +17,15 @@ from repro.radio.propagation import PropagationModel
 from repro.radio.radio import Radio
 from repro.sim.kernel import Simulator
 
+from tests.conftest import make_world
 
-def emit(sim, category, t=None, **fields):
-    if t is not None:
-        sim.now = t
-    sim.tracer.emit(category, **fields)
+
+def milestone_nodes(*node_ids):
+    """Never-started MNP nodes with the given ids on a perfect channel,
+    and a collector over them."""
+    world = make_world([(10.0 * i, 0.0) for i in range(max(node_ids) + 1)])
+    nodes = {i: MNPNode(world.motes[i]) for i in node_ids}
+    return world.sim, nodes, MetricsCollector(world.channel, nodes)
 
 
 def build_channel(n_nodes):
@@ -54,7 +60,7 @@ def transmit_at(sim, channel, radio, t, kind):
 
 def test_tx_rx_counting():
     sim, channel, radios = build_channel(3)
-    collector = MetricsCollector(sim, channel)
+    collector = MetricsCollector(channel, {})
     sender, receiver = radios[1], radios[2]
     sender.turn_on()
     receiver.turn_on()
@@ -64,32 +70,58 @@ def test_tx_rx_counting():
     channel.transmit(sender, frame(sender, "Advertisement"))
     sim.run()
     assert collector.tx_by_node[1] == 2
-    assert collector.tx_by_node_kind[1]["DataPacket"] == 1
+    assert [kind for _, node, kind in collector.tx_log if node == 1] == \
+        ["DataPacket", "Advertisement"]
     assert collector.rx_by_node[2] == 1
 
 
+def report_sender(sim, node, t, seg, req_ctr):
+    sim.now = t
+    node._report_sender(seg, req_ctr, packets=4)
+
+
 def test_sender_order_dedups_and_sorts():
-    sim, channel, _ = build_channel(2)
-    collector = MetricsCollector(sim, channel)
-    emit(sim, "mnp.sender", t=10.0, node=5, seg=1, req_ctr=2, packets=4)
-    emit(sim, "mnp.sender", t=20.0, node=3, seg=1, req_ctr=1, packets=4)
-    emit(sim, "mnp.sender", t=30.0, node=5, seg=2, req_ctr=1, packets=4)
+    sim, nodes, collector = milestone_nodes(3, 4, 5)
+    report_sender(sim, nodes[5], 10.0, 1, 2)
+    report_sender(sim, nodes[3], 20.0, 1, 1)
+    report_sender(sim, nodes[5], 30.0, 2, 1)
+    assert nodes[5].became_sender_at == 10.0  # the first turn stays
     assert collector.sender_order() == [5, 3]
 
 
+def test_sender_order_breaks_ties_by_node_id():
+    sim, nodes, collector = milestone_nodes(3, 4, 5)
+    report_sender(sim, nodes[5], 10.0, 1, 1)
+    report_sender(sim, nodes[3], 10.0, 1, 1)
+    assert collector.sender_order() == [3, 5]
+
+
+def test_parents_are_the_last_reported():
+    sim, nodes, collector = milestone_nodes(1, 2)
+    node = nodes[2]
+    for parent in (0, 1):
+        node.parent = parent
+        node._report_parent(seg=1)
+    node.parent = 0  # taken without a parent record: not reported
+    assert collector.parents == {2: 1}
+
+
 def test_got_code_first_time_wins():
-    sim, channel, _ = build_channel(2)
-    collector = MetricsCollector(sim, channel)
-    emit(sim, "mnp.got_code", t=100.0, node=7, parent=1)
-    emit(sim, "mnp.got_code", t=200.0, node=7, parent=1)
-    assert collector.got_code[7] == 100.0
-    assert collector.completion_time(1) == 100.0
-    assert collector.completion_time(2) is None
+    sim, nodes, _ = milestone_nodes(7)
+    node = nodes[7]
+    node.program = ProgramInfo(1, 1, 8, 8)
+    assert not node._report_got_code()  # not complete yet
+    node.rvd_seg = 1
+    sim.now = 100.0
+    assert node._report_got_code()
+    sim.now = 200.0
+    assert not node._report_got_code()
+    assert node.got_code_time == 100.0
 
 
 def test_tx_per_window_buckets():
     sim, channel, radios = build_channel(3)
-    collector = MetricsCollector(sim, channel)
+    collector = MetricsCollector(channel, {})
     transmit_at(sim, channel, radios[1], 100.0, "A")
     transmit_at(sim, channel, radios[1], 59_000.0, "A")
     transmit_at(sim, channel, radios[2], 61_000.0, "B")
@@ -101,7 +133,7 @@ def test_tx_per_window_buckets():
 
 def test_tx_per_window_kind_filter_and_until():
     sim, channel, radios = build_channel(2)
-    collector = MetricsCollector(sim, channel)
+    collector = MetricsCollector(channel, {})
     transmit_at(sim, channel, radios[1], 100.0, "A")
     sim.run()
     series = collector.tx_per_window(60_000.0, kinds=["A", "Z"],
@@ -111,10 +143,16 @@ def test_tx_per_window_kind_filter_and_until():
 
 
 def test_first_adv_snapshot():
-    sim, channel, _ = build_channel(2)
-    collector = MetricsCollector(sim, channel)
-    emit(sim, "mnp.first_adv", t=500.0, node=4, radio_on_ms=500.0)
-    assert collector.first_adv[4] == (500.0, 500.0)
+    from tests.test_mnp_unit import adv_from
+
+    sim, nodes, collector = milestone_nodes(3, 4)
+    node = nodes[4]
+    node.start()
+    sim.run(until=500.0)
+    node._handle_advertisement(adv_from(0))
+    sim.run(until=700.0)
+    node._handle_advertisement(adv_from(0))
+    assert collector.first_adv == {4: (500.0, 500.0)}
 
 
 def test_format_table_alignment():

@@ -19,6 +19,8 @@ from repro.sim.kernel import MINUTE
 
 import pytest
 
+from tests.conftest import tapped
+
 # Full grid/chaos simulations: deselected by `make test-fast`.
 pytestmark = pytest.mark.slow
 
@@ -110,10 +112,15 @@ def test_all_state_transitions_follow_fig4(protocol):
 
 def test_pipelining_segments_arrive_in_order():
     image = small_image(n_segments=3)
-    dep, res = run(Topology.line(4, 20), image)
+    with tapped("mnp.got_segment") as records:
+        dep, res = run(Topology.line(4, 20), image)
     assert res.all_complete
-    for node_id, segs in dep.collector.got_segment.items():
-        times = [segs[s][0] for s in sorted(segs)]
+    got_segment = {}  # node -> seg -> time of its last record
+    for rec in records:
+        got_segment.setdefault(rec.node, {})[rec.seg] = rec.time
+    assert len(got_segment) == 3
+    for node_id, segs in got_segment.items():
+        times = [segs[s] for s in sorted(segs)]
         assert times == sorted(times)
         assert sorted(segs) == [1, 2, 3]
 
@@ -122,13 +129,14 @@ def test_pipelining_intermediate_node_serves_before_complete():
     """The point of §3.1.2: with several segments on a long line, some
     node forwards segment k before it holds the whole image."""
     image = small_image(n_segments=3, segment_packets=16)
-    dep, res = run(Topology.line(6, 20), image, seed=3)
+    with tapped("mnp.sender") as senders:
+        dep, res = run(Topology.line(6, 20), image, seed=3)
     assert res.all_complete
     forwarded_early = False
-    for time, node, seg, _ in dep.collector.sender_events:
-        n = dep.nodes[node]
-        if node != dep.base_id and n.got_code_time is not None \
-                and time < n.got_code_time:
+    for rec in senders:
+        n = dep.nodes[rec.node]
+        if rec.node != dep.base_id and n.got_code_time is not None \
+                and rec.time < n.got_code_time:
             forwarded_early = True
     assert forwarded_early
 
@@ -136,13 +144,15 @@ def test_pipelining_intermediate_node_serves_before_complete():
 def test_non_pipelined_mode_completes():
     cfg = MNPConfig(pipelining=False)
     image = small_image(n_segments=2)
-    dep, res = run(Topology.line(4, 20), image, cfg=cfg)
+    with tapped("mnp.sender") as senders:
+        dep, res = run(Topology.line(4, 20), image, cfg=cfg)
     assert res.all_complete
     assert res.images_intact(image)
     # Hop-by-hop: nobody forwards before holding the full image.
-    for time, node, seg, _ in dep.collector.sender_events:
-        n = dep.nodes[node]
-        assert n.got_code_time is not None and time >= n.got_code_time
+    assert senders
+    for rec in senders:
+        n = dep.nodes[rec.node]
+        assert n.got_code_time is not None and rec.time >= n.got_code_time
 
 
 def test_query_update_variant_completes_on_lossy_channel():

@@ -80,7 +80,7 @@ def test_advertisement_provokes_download_request():
     node._handle_advertisement(adv_from(0, req_ctr=2))
     world.sim.run(until=100.0)
     assert node.program is not None
-    assert node.heard_first_adv
+    assert node.first_adv is not None
     sent = [r for r in requests if r.kind == "DownloadRequest"]
     assert len(sent) == 1
     # inspect the actual queued message

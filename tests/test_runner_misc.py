@@ -1,5 +1,5 @@
-"""Remaining runner/metric corners: savings edge cases and the
-collector's baseline-protocol event paths."""
+"""Remaining runner/metric corners: savings edge cases, the baselines'
+milestones and the fail count."""
 
 import pytest
 
@@ -11,10 +11,10 @@ from repro.radio.propagation import PropagationModel
 from repro.sim.kernel import MINUTE
 
 
-def deployment(**kwargs):
+def deployment(protocol="mnp", **kwargs):
     image = CodeImage.random(1, n_segments=1, segment_packets=8, seed=61)
     return Deployment(
-        Topology.line(3, 15), image=image, protocol="mnp", seed=61,
+        Topology.line(3, 15), image=image, protocol=protocol, seed=61,
         loss_model=PerfectLossModel(),
         propagation=PropagationModel.outdoor(25.0), **kwargs,
     ), image
@@ -36,23 +36,30 @@ def test_images_intact_skips_incomplete_nodes():
     assert res.images_intact(image)
 
 
-def test_collector_handles_proto_events():
-    """The proto.* trace categories used by the baselines land in the
-    same collector slots as mnp.* events."""
-    dep, _ = deployment()
-    dep.sim.tracer.emit("proto.sender", node=4, seg=1, req_ctr=2)
-    dep.sim.tracer.emit("proto.parent", node=5, parent=4)
-    dep.sim.tracer.emit("proto.got_code", node=5)
-    assert dep.collector.sender_events[-1][1] == 4
-    assert dep.collector.parents[5] == 4
-    assert 5 in dep.collector.got_code
+def test_baseline_milestones_land_in_the_run_views():
+    """A baseline reports its milestones through the same node methods as
+    MNP, so they land in the same views: XNP's base is the one sender
+    and the parent of every node it reached."""
+    dep, _ = deployment(protocol="xnp")
+    res = dep.run_to_completion(deadline_ms=30 * MINUTE)
+    base = dep.base_id
+    reached = [n for n in res.complete if n != base]
+    assert reached
+    assert res.sender_order() == [base]
+    assert res.parent_map() == {n: base for n in reached}
+    assert sorted(res.got_code_times_ms()) == sorted(reached + [base])
 
 
-def test_fails_counter_tracks_mnp_fail_events():
+def test_fails_count_each_fail_entry():
+    """The run's fail count sums the nodes' own counters, one per entry
+    into FAIL."""
     dep, _ = deployment()
-    dep.sim.tracer.emit("mnp.fail", node=2, seg=1, reason="test")
-    dep.sim.tracer.emit("mnp.fail", node=2, seg=1, reason="test")
-    assert dep.collector.fails[2] == 2
+    node = dep.nodes[2]
+    for _ in range(2):
+        node._enter_download(1, 1)
+        node._fail("test")
+    assert node.fails == 2
+    assert RunResult(dep, deadline_hit=True).fails == 2
 
 
 def test_base_id_override():

@@ -157,17 +157,19 @@ def test_stock_run_call_ledger():
     stop of a node's timers stopped all nine, and each timeout rebuilt
     a sample data packet.  Before the per-layer ledger the pin counted
     only ``repro/sim`` (106,125 with its lambdas and comprehensions)
-    and ``repro/radio`` (130,379, the three radio layers' sum)."""
+    and ``repro/radio`` (130,379, the three radio layers' sum).  While
+    the metrics collector subscribed to the milestones it took 237,534
+    (sim 47,704, core.mnp 90,457, metrics 696)."""
     dep = _seeded_deployment()
     result, calls = call_ledger(dep.run_to_completion)
     assert result.all_complete
     assert dep.sim.events_executed == 17342
     assert calls == {
-        "sim": 47704, "radio.channel": 22549, "radio.mac": 29032,
-        "radio.radio": 39213, "core.mnp": 90457, "hardware": 7072,
-        "metrics": 696, "other": 811,
+        "sim": 47008, "radio.channel": 22549, "radio.mac": 29032,
+        "radio.radio": 39213, "core.mnp": 90922, "hardware": 7072,
+        "other": 811,
     }
-    assert sum(calls.values()) == 237534
+    assert sum(calls.values()) == 236607
 
 
 def test_coded_secure_run_call_ledger():
@@ -192,9 +194,9 @@ def test_coded_secure_run_call_ledger():
     assert installs == {"installed": 16, "rejected": 0}
     assert dep.sim.events_executed == 6226
     assert calls == {
-        "sim": 16620, "radio.channel": 7721, "radio.mac": 8604,
-        "radio.radio": 11397, "core.mnp": 33462, "core.coding": 9565,
-        "core.auth": 4290, "hardware": 2975, "metrics": 197, "other": 482,
+        "sim": 16423, "radio.channel": 7721, "radio.mac": 8604,
+        "radio.radio": 11397, "core.mnp": 33598, "core.coding": 9565,
+        "core.auth": 4290, "hardware": 2975, "other": 482,
     }
 
 
@@ -224,7 +226,7 @@ def test_faulted_run_call_ledger():
     assert faulted.controller.summary()["restarted"] == [6]
     assert dep.sim.events_executed == 1881
     assert calls == {
-        "sim": 10257, "radio.channel": 3393, "radio.mac": 3163,
-        "radio.radio": 4641, "core.mnp": 10789, "hardware": 727,
-        "faults": 3411, "metrics": 118, "other": 6494,
+        "sim": 10241, "radio.channel": 3393, "radio.mac": 3163,
+        "radio.radio": 4641, "core.mnp": 10858, "hardware": 727,
+        "faults": 3411, "other": 6494,
     }
