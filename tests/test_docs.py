@@ -3,9 +3,11 @@
 Runs ``tools/check_docs.py`` — markdown link/anchor resolution plus the
 doc-drift lint (every CLI subcommand and every ``REPRO_*`` env var used
 in ``src/`` must be mentioned under ``docs/`` or ``README.md``, and every
-``REPRO_*`` name those docs mention must still be read by code) — so a
-new subcommand, env var, deleted env var, or renamed doc heading fails
-the test suite, not just the CI job.
+``REPRO_*`` name those docs mention must still be read by code) and the
+trace-category lint (every category emitted under ``src/`` has a row in
+docs/simulator.md's table, and every row is still emitted) — so a new
+subcommand, env var, deleted env var, trace category, or renamed doc
+heading fails the test suite, not just the CI job.
 """
 
 import subprocess
@@ -54,19 +56,6 @@ def test_drift_lint_reports_documented_but_unread_env_var():
     assert check_docs.stale_env_vars(corpus) == ["REPRO_MADE_UP_KNOB"]
 
 
-def _emitted_categories():
-    """Trace categories named by an ``emit("...")`` or ``watches("...")``
-    literal anywhere under ``src/``."""
-    import re
-
-    pattern = re.compile(r'\b(?:emit|watches)\(\s*"([^"]+)"')
-    return {
-        category
-        for path in (REPO / "src").rglob("*.py")
-        for category in pattern.findall(path.read_text(encoding="utf-8"))
-    }
-
-
 def test_listed_trace_categories_are_emitted():
     """Every category the watchdog, the service's progress stream or the
     call-cost test names is emitted somewhere, so a half-done rename of a
@@ -76,7 +65,7 @@ def test_listed_trace_categories_are_emitted():
 
     from tests.test_trace_cost import HOT_CATEGORIES
 
-    emitted = _emitted_categories()
+    emitted = set(_check_docs().emitted_categories())
     for listed in (WATCHED, PROGRESS_CATEGORIES, HOT_CATEGORIES):
         assert set(listed) <= emitted, sorted(set(listed) - emitted)
 

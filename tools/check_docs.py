@@ -22,6 +22,13 @@ Two families of checks, both offline and dependency-free:
    mention must be referenced by code under ``src/`` or ``benchmarks/``,
    so text about a deleted variable fails CI.
 
+3. **Trace-category lint** — trace categories are an interface (the
+   watchdog, the service's progress stream and trace export read
+   them).  Every category named by an ``emit("...")`` or
+   ``watches("...")`` literal under ``src/`` must have a row in the
+   "Trace categories" table of ``docs/simulator.md``, and every row
+   must name a category that is still emitted.
+
 Exit status 0 when clean, 1 with one ``file: problem`` line per finding.
 """
 
@@ -46,6 +53,11 @@ MENTION_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 _ENV_RE = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*")
+_CATEGORY_RE = re.compile(r'\b(?:emit|watches)\(\s*"([^"]+)"')
+_CATEGORY_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|", re.MULTILINE)
+
+#: The doc whose "Trace categories" table lists every emitted category.
+CATEGORY_DOC = REPO / "docs" / "simulator.md"
 
 
 def _strip_code_fences(text):
@@ -172,8 +184,46 @@ def check_drift():
     return problems
 
 
+def emitted_categories():
+    """Trace categories named by an ``emit("...")`` or ``watches("...")``
+    literal in a Python file under ``src/``, sorted."""
+    return sorted({
+        category
+        for path in (REPO / "src").rglob("*.py")
+        for category in _CATEGORY_RE.findall(
+            path.read_text(encoding="utf-8"))
+    })
+
+
+def documented_categories():
+    """The first-column categories of :data:`CATEGORY_DOC`'s "Trace
+    categories" table, in table order."""
+    body = _strip_code_fences(CATEGORY_DOC.read_text(encoding="utf-8"))
+    _, _, section = body.partition("\n## Trace categories\n")
+    section = section.split("\n## ", 1)[0]
+    return _CATEGORY_ROW_RE.findall(section)
+
+
+def check_trace_categories(emitted=None, documented=None):
+    """Drift between the emitted categories and the documented ones,
+    both ways (each defaults to the live set)."""
+    emitted = set(emitted_categories() if emitted is None else emitted)
+    documented = set(documented_categories() if documented is None
+                     else documented)
+    doc = CATEGORY_DOC.relative_to(REPO)
+    return [
+        f"docs drift: trace category {category} is emitted under src/ "
+        f"but missing from the Trace categories table in {doc}"
+        for category in sorted(emitted - documented)
+    ] + [
+        f"docs drift: trace category {category} is in the Trace "
+        f"categories table in {doc} but emitted nowhere under src/"
+        for category in sorted(documented - emitted)
+    ]
+
+
 def main():
-    problems = check_links() + check_drift()
+    problems = check_links() + check_drift() + check_trace_categories()
     for problem in problems:
         print(problem)
     if problems:
@@ -182,7 +232,8 @@ def main():
     docs = sum(1 for d in DOC_FILES if d.exists())
     print(f"docs-check: OK ({docs} docs, "
           f"{len(repro_subcommands())} subcommands, "
-          f"{len(src_env_vars())} REPRO_* vars covered)")
+          f"{len(src_env_vars())} REPRO_* vars, "
+          f"{len(emitted_categories())} trace categories covered)")
     return 0
 
 
