@@ -27,8 +27,7 @@ from repro.core.states import register_edges
 from repro.hardware.bootloader import InstallResult
 from repro.hardware.eeprom import EepromError
 from repro.hardware.energy import EnergyModel
-from repro.radio.channel import MICA2_BITRATE_KBPS
-from repro.radio.packet import PHY_OVERHEAD_BYTES
+from repro.radio.packet import Frame
 from repro.sim.rng import derive_rng
 
 #: Extra coded packets a round streams beyond the largest reported rank
@@ -333,10 +332,9 @@ class ImageNode:
         protocol's ``data_gap_ms`` pacing; worked out once per program
         (a coded frame's size depends on the segment length)."""
         if self._per_packet is None:
-            wire = self._sample_data_packet().wire_bytes() \
-                + PHY_OVERHEAD_BYTES
-            airtime = wire * 8.0 / MICA2_BITRATE_KBPS
-            self._per_packet = airtime + self.data_gap_ms
+            sample = self._sample_data_packet()
+            frame = Frame(self.node_id, sample, sample.wire_bytes())
+            self._per_packet = frame.airtime_ms + self.data_gap_ms
         return self._per_packet
 
     def _segment_time_ms(self):

@@ -17,7 +17,8 @@ responds to:
   edge BER comes from the loss model (asymmetric lossy links, as in
   TOSSIM).
 * **Airtime**: frames occupy the medium for ``on_air_bytes * 8 / bitrate``
-  (19.2 kbps for the Mica-2 CC1000).
+  (19.2 kbps for the Mica-2 CC1000), worked out once per frame
+  (:attr:`repro.radio.packet.Frame.airtime_ms`).
 
 Energy-relevant bookkeeping (tx/rx time, successful receptions, collision
 counts) is pushed into the radios.  The channel is the single source of
@@ -55,8 +56,6 @@ closest-point-of-approach optimization of per-bit simulation):
 from types import MappingProxyType
 
 from repro.sim.rng import derive_rng
-
-MICA2_BITRATE_KBPS = 19.2
 
 
 class _Transmission:
@@ -240,9 +239,6 @@ class Channel:
         return (self._reach.get((node_id, power_level))
                 or self._reach_of(node_id, power_level))[1]
 
-    def airtime_ms(self, frame):
-        return frame.on_air_bytes * 8.0 / MICA2_BITRATE_KBPS
-
     # ------------------------------------------------------------------
     # Carrier sense
     # ------------------------------------------------------------------
@@ -281,7 +277,7 @@ class Channel:
             raise RuntimeError(f"node {src}: transmit with radio off")
         if src in self._active:
             raise RuntimeError(f"node {src}: already transmitting")
-        airtime = frame.on_air_bytes * 8.0 / MICA2_BITRATE_KBPS  # airtime_ms
+        airtime = frame.airtime_ms
         range_ft, listeners = (self._reach.get((src, radio.power_level))
                                or self._reach_of(src, radio.power_level))
         now = self.sim.now

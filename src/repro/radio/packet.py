@@ -1,9 +1,10 @@
 """Radio frames.
 
 A :class:`Frame` is what travels on the air: a protocol message (the
-``payload``) plus the link-layer source/destination and the on-air size.
-Protocols declare the serialized size of each message type; the channel uses
-``on_air_bytes`` both for airtime and for the per-bit error draw.
+``payload``) plus the link-layer source/destination, the on-air size and
+the airtime.  Protocols declare the serialized size of each message type;
+the channel uses ``on_air_bytes`` for the per-bit error draw and
+``airtime_ms`` for how long the frame holds the medium.
 
 All MNP traffic is link-layer broadcast (the paper unicasts logically by
 embedding a ``DestID`` field inside the payload), so ``dst`` defaults to
@@ -16,12 +17,15 @@ BROADCAST = -1
 # sync + TinyOS AM header + CRC, on top of the application payload.
 PHY_OVERHEAD_BYTES = 18
 
+#: The Mica-2 CC1000's bitrate.
+MICA2_BITRATE_KBPS = 19.2
+
 
 class Frame:
     """One on-air frame."""
 
     __slots__ = ("src", "dst", "payload", "payload_bytes", "on_air_bytes",
-                 "sequence")
+                 "airtime_ms", "sequence")
 
     _sequence_counter = 0
 
@@ -32,9 +36,11 @@ class Frame:
         self.dst = dst
         self.payload = payload
         self.payload_bytes = payload_bytes
-        # Total bytes the radio actually clocks out for this frame.
-        # Precomputed: the channel reads it several times per reception.
+        # Total bytes the radio actually clocks out for this frame, and
+        # the time that takes.  Precomputed: the channel reads the size
+        # several times per reception.
         self.on_air_bytes = payload_bytes + PHY_OVERHEAD_BYTES
+        self.airtime_ms = self.on_air_bytes * 8.0 / MICA2_BITRATE_KBPS
         Frame._sequence_counter += 1
         self.sequence = Frame._sequence_counter
 
@@ -53,6 +59,7 @@ class Frame:
         clone.payload = payload
         clone.payload_bytes = self.payload_bytes
         clone.on_air_bytes = self.on_air_bytes
+        clone.airtime_ms = self.airtime_ms
         clone.sequence = self.sequence
         return clone
 

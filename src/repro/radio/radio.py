@@ -77,9 +77,6 @@ class Radio:
     # ------------------------------------------------------------------
     # Channel-driven bookkeeping
     # ------------------------------------------------------------------
-    def tx_started(self):
-        self.transmitting = True
-
     def tx_finished(self, airtime_ms):
         self.transmitting = False
         self._tx_ms += airtime_ms

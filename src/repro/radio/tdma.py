@@ -129,10 +129,9 @@ class TdmaMac:
                 f"node {self.radio.node_id}: MAC send with radio off"
             )
         frame = Frame(self.radio.node_id, payload, payload_bytes, dst)
-        airtime = self.channel.airtime_ms(frame)
-        if airtime + GUARD_MS > self.schedule.slot_ms:
+        if frame.airtime_ms + GUARD_MS > self.schedule.slot_ms:
             raise ValueError(
-                f"frame airtime {airtime:.1f}ms does not fit a "
+                f"frame airtime {frame.airtime_ms:.1f}ms does not fit a "
                 f"{self.schedule.slot_ms:.1f}ms slot"
             )
         self._queue.append(frame)

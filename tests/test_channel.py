@@ -60,9 +60,8 @@ def test_receiver_radio_off_misses_frame():
 
 
 def test_airtime_matches_bitrate():
-    _, channel, _ = build([(0, 0), (10, 0)])
     frame = Frame(0, "x", 22)  # 40 bytes on air
-    assert channel.airtime_ms(frame) == pytest.approx(40 * 8 / 19.2)
+    assert frame.airtime_ms == pytest.approx(40 * 8 / 19.2)
 
 
 def test_overlapping_transmissions_collide_at_common_receiver():
@@ -104,7 +103,7 @@ def test_staggered_transmissions_do_not_collide():
     got = []
     b.on_frame = got.append
     first = Frame(0, "one", 20)
-    airtime = channel.airtime_ms(first)
+    airtime = first.airtime_ms
     channel.transmit(a, first)
     sim.schedule(airtime + 1.0,
                  lambda: channel.transmit(a, Frame(0, "two", 20)))
@@ -171,7 +170,7 @@ def test_on_done_callback_fires_after_airtime():
     frame = Frame(0, "x", 20)
     channel.transmit(a, frame, on_done=lambda: done_at.append(sim.now))
     sim.run()
-    assert done_at == [pytest.approx(channel.airtime_ms(frame))]
+    assert done_at == [pytest.approx(frame.airtime_ms)]
 
 
 def test_bit_errors_drop_frames():

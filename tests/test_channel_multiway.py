@@ -47,7 +47,7 @@ def test_partial_overlap_still_corrupts():
     got = []
     b.on_frame = got.append
     frame = Frame(0, "first", 20)
-    airtime = channel.airtime_ms(frame)
+    airtime = frame.airtime_ms
     channel.transmit(a, frame)
     # second transmission starts just before the first ends
     sim.schedule(airtime - 1.0,
@@ -80,7 +80,7 @@ def test_receiver_of_one_is_bystander_of_other():
     got = []
     b.on_frame = lambda f: got.append(f.payload)
     frame = Frame(0, "one", 20)
-    airtime = channel.airtime_ms(frame)
+    airtime = frame.airtime_ms
     channel.transmit(a, frame)
     sim.schedule(airtime + 5.0,
                  lambda: channel.transmit(c, Frame(2, "two", 20)))

@@ -57,7 +57,7 @@ def test_node_energy_combines_radio_and_eeprom():
     radio = Radio(sim, 0)
     radio.turn_on()
     sim.now = 100.0
-    radio.tx_started()
+    radio.transmitting = True
     radio.tx_finished(20.0)
     radio.frames_received = 2
     flash = Eeprom()

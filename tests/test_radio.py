@@ -52,7 +52,7 @@ def test_double_on_off_are_noops(sim):
 def test_tx_accounting(sim):
     radio = Radio(sim, 0)
     radio.turn_on()
-    radio.tx_started()
+    radio.transmitting = True
     assert radio.transmitting
     sim.now = 25.0
     radio.tx_finished(25.0)
@@ -81,7 +81,7 @@ def test_idle_listen_is_on_minus_tx_rx(sim):
     radio.rx_began()
     sim.now = 30.0
     radio.rx_ended()
-    radio.tx_started()
+    radio.transmitting = True
     sim.now = 40.0
     radio.tx_finished(10.0)
     sim.now = 100.0
@@ -119,5 +119,5 @@ def test_repr_states(sim):
     assert "off" in repr(radio)
     radio.turn_on()
     assert "idle" in repr(radio)
-    radio.tx_started()
+    radio.transmitting = True
     assert "tx" in repr(radio)

@@ -166,10 +166,10 @@ def test_stock_run_call_ledger():
     assert dep.sim.events_executed == 17342
     assert calls == {
         "sim": 47008, "radio.channel": 22549, "radio.mac": 29032,
-        "radio.radio": 39213, "core.mnp": 90922, "hardware": 7072,
+        "radio.radio": 39249, "core.mnp": 90922, "hardware": 7072,
         "other": 811,
     }
-    assert sum(calls.values()) == 236607
+    assert sum(calls.values()) == 236643
 
 
 def test_coded_secure_run_call_ledger():
@@ -195,7 +195,7 @@ def test_coded_secure_run_call_ledger():
     assert dep.sim.events_executed == 6226
     assert calls == {
         "sim": 16423, "radio.channel": 7721, "radio.mac": 8604,
-        "radio.radio": 11397, "core.mnp": 33598, "core.coding": 9565,
+        "radio.radio": 11413, "core.mnp": 33598, "core.coding": 9565,
         "core.auth": 4290, "hardware": 2975, "other": 482,
     }
 
@@ -227,6 +227,6 @@ def test_faulted_run_call_ledger():
     assert dep.sim.events_executed == 1881
     assert calls == {
         "sim": 10241, "radio.channel": 3393, "radio.mac": 3163,
-        "radio.radio": 4641, "core.mnp": 10858, "hardware": 727,
+        "radio.radio": 4657, "core.mnp": 10858, "hardware": 727,
         "faults": 3411, "other": 6494,
     }
