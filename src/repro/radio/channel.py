@@ -46,11 +46,10 @@ closest-point-of-approach optimization of per-bit simulation):
   (``_receptions[dst][src]``), and a collision marks ``dst`` in that
   transmission's ``corrupted`` set, so opening a reception builds no
   object;
-* communication ranges are frozen per power level at first use, so the
-  neighbor cache can never silently go stale; call
-  :meth:`invalidate_neighbors` after reconfiguring propagation.  A frame
-  reads its sender's ``(range, listeners)`` from that cache in one
-  lookup.
+* a frame reads its sender's ``(range, listeners)`` in one lookup: the
+  pair is cached as one tuple per ``(node, power level)`` (the topology
+  is static and ``PropagationModel.range_ft`` a pure function), so a
+  frame's range and its listeners can never disagree.
 """
 
 from types import MappingProxyType
@@ -99,8 +98,6 @@ class Channel:
         self._radios = {}
         # (node id, power level) -> (range_ft, nodes within that range)
         self._reach = {}
-        # Power level -> range_ft pinned at first use (stale-cache guard).
-        self._frozen_range = {}
         self._active = {}  # src node id -> _Transmission
         # dst node id -> {src id: the _Transmission being received there}
         self._receptions = {}
@@ -191,44 +188,10 @@ class Channel:
         """node id -> attached radio (a read-only view)."""
         return MappingProxyType(self._radios)
 
-    def _range_for(self, power_level):
-        """Communication range at ``power_level``, frozen at first use.
-
-        The neighbor cache and carrier counters assume a power level maps
-        to one range for the lifetime of the channel, so the propagation
-        model is consulted exactly once per power level and the answer is
-        pinned.  (Pre-freeze, a propagation model whose ``range_ft``
-        drifted between calls silently de-synchronized the neighbor cache
-        from the ranges used for audibility.)  Reconfigure propagation
-        via :meth:`invalidate_neighbors`, which drops the pins.
-        """
-        range_ft = self._frozen_range.get(power_level)
-        if range_ft is None:
-            range_ft = self.propagation.range_ft(power_level)
-            self._frozen_range[power_level] = range_ft
-        return range_ft
-
-    def invalidate_neighbors(self):
-        """Drop cached neighbor lists, frozen ranges, and link budgets.
-
-        For tests and tools that reconfigure the propagation or loss
-        model between runs on the same channel.  Must not be called while
-        transmissions are in flight (their listener lists were computed
-        under the old ranges).
-        """
-        if self._active:
-            raise RuntimeError(
-                "cannot invalidate neighbor caches mid-transmission"
-            )
-        self._reach.clear()
-        self._frozen_range.clear()
-        self._ber_cache.clear()
-        self._decode_cache.clear()
-
     def _reach_of(self, node_id, power_level):
         """``(range_ft, nodes within it)`` for ``node_id`` transmitting at
-        ``power_level``, cached (topology is static)."""
-        range_ft = self._range_for(power_level)
+        ``power_level``, cached as one tuple (topology is static)."""
+        range_ft = self.propagation.range_ft(power_level)
         reach = self._reach[node_id, power_level] = (
             range_ft, self.topology.nodes_within(node_id, range_ft))
         return reach

@@ -16,19 +16,15 @@ tests check each fast path against a slow reference implementation:
   summaries of a fixed-seed MNP run (bit-identical floats).
 
 Plus regressions for the ``run_until`` dead-air fold (O(events) loop
-iterations, bit-exact stop times) and the frozen per-power-level ranges
-behind the neighbor cache.
+iterations, bit-exact stop times).
 """
 
 import random
-
-import pytest
 
 from repro.net.loss_models import EmpiricalLossModel
 from repro.net.topology import Topology
 from repro.radio.channel import Channel
 from repro.radio.mac import CsmaMac
-from repro.radio.packet import Frame
 from repro.radio.propagation import PropagationModel
 from repro.radio.radio import Radio
 from repro.sim.kernel import MINUTE, SECOND, Simulator
@@ -262,53 +258,3 @@ class TestRunUntilDeadAir:
         sim = Simulator(seed=0)
         assert not sim.run_until(lambda: False, check_every=SECOND,
                                  deadline=SECOND)
-
-
-class _DriftingPropagation:
-    """Misbehaving model: a different range on every consultation."""
-
-    def __init__(self, start_ft=25.0):
-        self.calls = 0
-        self.start_ft = start_ft
-
-    def range_ft(self, power_level):
-        self.calls += 1
-        return self.start_ft + 40.0 * (self.calls - 1)
-
-
-class TestFrozenRanges:
-    def _channel(self):
-        sim = Simulator(seed=0)
-        topology = Topology([(0.0, 0.0), (20.0, 0.0), (60.0, 0.0)])
-        prop = _DriftingPropagation()
-        channel = Channel(sim, topology, EmpiricalLossModel(seed=0),
-                          prop, seed=0)
-        return sim, channel, prop
-
-    def test_range_frozen_at_first_use(self):
-        sim, channel, prop = self._channel()
-        first = channel.neighbors(0, 255)
-        assert prop.calls == 1
-        # The model now reports 65 ft; the frozen 25 ft answer persists.
-        assert channel.neighbors(0, 255) == first == [1]
-        assert prop.calls == 1
-        assert channel._range_for(255) == 25.0
-
-    def test_invalidate_consults_propagation_again(self):
-        sim, channel, prop = self._channel()
-        assert channel.neighbors(0, 255) == [1]  # frozen at 25 ft
-        channel.invalidate_neighbors()
-        assert channel.neighbors(0, 255) == [1, 2]  # refrozen at 65 ft
-        assert prop.calls == 2
-
-    def test_invalidate_mid_transmission_raises(self):
-        sim, channel, prop = self._channel()
-        radio = Radio(sim, 0)
-        channel.attach(radio)
-        radio.turn_on()
-        channel.transmit(radio, Frame(0, object(), 36))
-        assert channel._active
-        with pytest.raises(RuntimeError):
-            channel.invalidate_neighbors()
-        sim.run()
-        channel.invalidate_neighbors()  # fine once the air is clear

@@ -50,9 +50,9 @@ def test_baseline_milestones_land_in_the_run_views():
     assert sorted(res.got_code_times_ms()) == sorted(reached + [base])
 
 
-def test_fails_count_each_fail_entry():
+def test_fails_counter_tracks_mnp_fail_events():
     """The run's fail count sums the nodes' own counters, one per entry
-    into FAIL."""
+    into FAIL (each traced as ``mnp.fail``)."""
     dep, _ = deployment()
     node = dep.nodes[2]
     for _ in range(2):

@@ -165,11 +165,11 @@ def test_stock_run_call_ledger():
     assert result.all_complete
     assert dep.sim.events_executed == 17342
     assert calls == {
-        "sim": 47008, "radio.channel": 22549, "radio.mac": 29032,
-        "radio.radio": 39249, "core.mnp": 90922, "hardware": 7072,
+        "sim": 47008, "radio.channel": 22513, "radio.mac": 29032,
+        "radio.radio": 39319, "core.mnp": 90922, "hardware": 7072,
         "other": 811,
     }
-    assert sum(calls.values()) == 236643
+    assert sum(calls.values()) == 236677
 
 
 def test_coded_secure_run_call_ledger():
@@ -194,8 +194,8 @@ def test_coded_secure_run_call_ledger():
     assert installs == {"installed": 16, "rejected": 0}
     assert dep.sim.events_executed == 6226
     assert calls == {
-        "sim": 16423, "radio.channel": 7721, "radio.mac": 8604,
-        "radio.radio": 11413, "core.mnp": 33598, "core.coding": 9565,
+        "sim": 16423, "radio.channel": 7705, "radio.mac": 8604,
+        "radio.radio": 11443, "core.mnp": 33598, "core.coding": 9565,
         "core.auth": 4290, "hardware": 2975, "other": 482,
     }
 
@@ -226,7 +226,7 @@ def test_faulted_run_call_ledger():
     assert faulted.controller.summary()["restarted"] == [6]
     assert dep.sim.events_executed == 1881
     assert calls == {
-        "sim": 10241, "radio.channel": 3393, "radio.mac": 3163,
-        "radio.radio": 4657, "core.mnp": 10858, "hardware": 727,
+        "sim": 10241, "radio.channel": 3377, "radio.mac": 3163,
+        "radio.radio": 4687, "core.mnp": 10858, "hardware": 727,
         "faults": 3411, "other": 6494,
     }
