@@ -127,8 +127,10 @@ class Radio:
         return total
 
     def idle_listen_ms(self):
-        """Radio-on time spent neither transmitting nor receiving."""
-        return max(0.0, self.on_time_ms() - self._tx_ms - self.rx_time_ms())
+        """Radio-on time spent neither transmitting nor receiving.  Not
+        clamped: tx and rx intervals lie inside the on-time and do not
+        overlap (half duplex, carrier sense), so it is never negative."""
+        return self.on_time_ms() - self._tx_ms - self.rx_time_ms()
 
     def __repr__(self):
         state = RadioState.OFF
