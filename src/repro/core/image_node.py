@@ -224,7 +224,8 @@ class ImageNode:
                              req_ctr=req_ctr, **fields)
 
     def _report_parent(self, **fields):
-        """``parent`` is the node we download from (``mnp.parent``)."""
+        """Name ``parent`` as the node we download from (``mnp.parent``),
+        stamping ``reported_parent``."""
         self.reported_parent = self.parent
         self.sim.tracer.emit("mnp.parent", node=self.node_id,
                              parent=self.parent, **fields)

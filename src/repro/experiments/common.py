@@ -162,9 +162,10 @@ class RunResult:
         """node -> active radio time excluding the initial idle listening
         before the node's first advertisement arrived (Fig. 9)."""
         totals = self.active_radio_ms()
+        first_adv = self.collector.first_adv
         out = {}
         for node_id, total in totals.items():
-            snapshot = self.nodes[node_id].first_adv
+            snapshot = first_adv.get(node_id)
             before = snapshot[1] if snapshot is not None else 0.0
             out[node_id] = max(0.0, total - before)
         return out

@@ -7,10 +7,9 @@ the metrics collector subscribes to nothing.  Run milestones (senders,
 parents, got-code times) are stamped on the nodes by the same calls that
 trace them, and per-frame counts (transmissions, decoded frames,
 collisions) are read from the channel and radio counters, the same way
-energy comes from the radios' time integrals.  A record with no
-subscriber costs one dict lookup and is never built, and the per-frame
-and per-state-change records are emitted only when something subscribes
-to them.
+energy comes from the radios' time integrals.  An emit that reaches no
+subscriber builds no record, and the per-frame and per-state-change
+records are not even emitted unless something subscribes to them.
 
 Thread-local *taps* let a harness observe simulations it does not
 construct: :func:`push_tap` registers a subscriber that every

@@ -18,6 +18,7 @@ from repro.radio.radio import Radio
 from repro.sim.kernel import Simulator
 
 from tests.conftest import make_world
+from tests.test_mnp_unit import adv_from
 
 
 def milestone_nodes(*node_ids):
@@ -143,8 +144,6 @@ def test_tx_per_window_kind_filter_and_until():
 
 
 def test_first_adv_snapshot():
-    from tests.test_mnp_unit import adv_from
-
     sim, nodes, collector = milestone_nodes(3, 4)
     node = nodes[4]
     node.start()
