@@ -1,5 +1,7 @@
 """Tests for MNPConfig validation and ablation copies."""
 
+import math
+
 import pytest
 
 from repro.core.config import MNPConfig
@@ -29,6 +31,24 @@ def test_defaults_are_sane():
 def test_validation_rejects_bad_values(field, value):
     with pytest.raises(ValueError):
         MNPConfig(**{field: value})
+
+
+#: Every numeric field with a range check.
+CHECKED_FIELDS = (
+    "advertise_count", "adv_interval_ms", "adv_backoff_factor",
+    "adv_interval_max_ms", "request_delay_ms", "data_gap_ms",
+    "sleep_factor", "download_timeout_factor", "repair_rounds",
+    "fail_backoff_base_ms", "fail_backoff_factor", "fail_backoff_max_ms",
+)
+
+
+@pytest.mark.parametrize("field", CHECKED_FIELDS)
+def test_validation_rejects_nan(field):
+    # NaN is false against every bound, so a check written as
+    # "reject if below" lets it through, and the run then schedules
+    # events at NaN times.
+    with pytest.raises(ValueError):
+        MNPConfig(**{field: math.nan})
 
 
 def test_interval_max_must_dominate_base():

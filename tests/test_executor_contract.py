@@ -109,6 +109,15 @@ def test_a_baseline_handed_a_config_raises(experiment):
         execute_spec(bad)
 
 
+@pytest.mark.parametrize("experiment", ["grid", "coding", "probe"])
+def test_a_nan_config_field_raises(experiment):
+    # JSON specs may carry NaN (json.loads accepts it).
+    bad = spec(experiment, rows=2, cols=2,
+               config=json.loads('{"adv_interval_ms": NaN}'))
+    with pytest.raises(ValueError, match="advertisement interval"):
+        execute_spec(bad)
+
+
 @pytest.mark.parametrize("experiment,overrides", [
     ("grid", {"n_segments": 0}),
     ("grid", {"segment_packets": 0}),

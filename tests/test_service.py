@@ -25,6 +25,7 @@ What must hold:
 
 import asyncio
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,24 @@ def test_misspelled_override_fails_the_job_and_caches_nothing(tmp_path):
             await client.close()
         assert record["status"] == "failed"
         assert "rowz" in record["error"]
+        assert list((tmp_path / "cache").glob("*.json")) == []
+
+    asyncio.run(_serve(tmp_path, 1, body))
+
+
+def test_nan_config_field_fails_the_job_and_caches_nothing(tmp_path):
+    # JSON carries NaN both ways; the config rejects it at construction
+    # instead of running a network whose timers fire at NaN times.
+    async def body(svc, host, port):
+        client = ServiceClient(host, port)
+        try:
+            submitted = await client.submit(probe_payload(
+                seed=11, config={"adv_interval_ms": math.nan}))
+            record = await client.wait(submitted["job"], timeout_s=60)
+        finally:
+            await client.close()
+        assert record["status"] == "failed"
+        assert "advertisement interval" in record["error"]
         assert list((tmp_path / "cache").glob("*.json")) == []
 
     asyncio.run(_serve(tmp_path, 1, body))

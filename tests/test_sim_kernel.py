@@ -1,5 +1,7 @@
 """Unit tests for the simulation kernel."""
 
+import math
+
 import pytest
 
 from repro.sim.kernel import MINUTE, SECOND, SimulationError, Simulator
@@ -35,6 +37,26 @@ def test_schedule_at_past_rejected():
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(5.0, lambda: None)
+
+
+def test_nan_delay_rejected():
+    # A NaN entry at the heap top would compare false against every
+    # horizon and block all later events.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(math.nan, lambda: None)
+    seen = []
+    sim.schedule(5.0, seen.append, "g")
+    assert sim.run(until=100.0) == 1
+    assert seen == ["g"]
+    assert sim.pending == 0
+
+
+def test_nan_time_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule_at(math.nan, lambda: None)
+    assert sim.pending == 0
 
 
 def test_run_until_time_boundary():
