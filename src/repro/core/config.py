@@ -117,27 +117,30 @@ class MNPConfig:
         fail_backoff_factor=2.0,
         fail_backoff_max_ms=60_000.0,
     ):
-        if advertise_count < 1:
+        # Each check states what a valid value satisfies, so NaN (false
+        # against every bound) fails it.
+        if not advertise_count >= 1:
             raise ValueError("advertise_count must be >= 1")
-        if adv_interval_ms <= 0 or adv_interval_max_ms < adv_interval_ms:
+        if not (adv_interval_ms > 0
+                and adv_interval_max_ms >= adv_interval_ms):
             raise ValueError("invalid advertisement interval settings")
-        if adv_backoff_factor < 1.0:
+        if not adv_backoff_factor >= 1.0:
             raise ValueError("adv_backoff_factor must be >= 1")
-        if request_delay_ms < 0:
+        if not request_delay_ms >= 0:
             raise ValueError("request_delay_ms must be non-negative")
-        if data_gap_ms < 0:
+        if not data_gap_ms >= 0:
             raise ValueError("data_gap_ms must be non-negative")
-        if sleep_factor <= 0:
+        if not sleep_factor > 0:
             raise ValueError("sleep_factor must be positive")
-        if download_timeout_factor <= 0:
+        if not download_timeout_factor > 0:
             raise ValueError("download_timeout_factor must be positive")
-        if repair_rounds < 0:
+        if not repair_rounds >= 0:
             raise ValueError("repair_rounds must be non-negative")
-        if fail_backoff_base_ms < 0:
+        if not fail_backoff_base_ms >= 0:
             raise ValueError("fail_backoff_base_ms must be non-negative")
-        if fail_backoff_factor < 1.0:
+        if not fail_backoff_factor >= 1.0:
             raise ValueError("fail_backoff_factor must be >= 1")
-        if fail_backoff_max_ms < fail_backoff_base_ms:
+        if not fail_backoff_max_ms >= fail_backoff_base_ms:
             raise ValueError("fail_backoff_max_ms must be >= fail_backoff_base_ms")
         if large_segments and pipelining:
             raise ValueError(

@@ -69,8 +69,10 @@ class Simulator:
     def schedule(self, delay, fn, *args):
         """Run ``fn(*args)`` after ``delay`` milliseconds of virtual time;
         returns the event's handle."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        # Written so that NaN fails too: a NaN entry at the heap top
+        # would block every later event.
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay {delay!r}")
         entry = [self.now + delay, next(self._counter), fn, args]
         heappush(self._heap, entry)
         return entry
@@ -78,7 +80,7 @@ class Simulator:
     def schedule_at(self, time, fn, *args):
         """Run ``fn(*args)`` at absolute virtual time ``time``; returns
         the event's handle."""
-        if time < self.now:
+        if not time >= self.now:  # NaN fails too, as in schedule()
             raise SimulationError(f"cannot schedule at {time} (now={self.now})")
         entry = [time, next(self._counter), fn, args]
         heappush(self._heap, entry)
