@@ -11,6 +11,8 @@ embedding a ``DestID`` field inside the payload), so ``dst`` defaults to
 :data:`BROADCAST`.
 """
 
+import itertools
+
 BROADCAST = -1
 
 # Physical-layer framing overhead on the Mica-2 CC1000 stack: preamble +
@@ -20,14 +22,17 @@ PHY_OVERHEAD_BYTES = 18
 #: The Mica-2 CC1000's bitrate.
 MICA2_BITRATE_KBPS = 19.2
 
+# Frame sequence numbers, process-wide.  A module-level counter rather
+# than a class attribute: writing a class attribute once per frame would
+# invalidate the type's attribute caches on every frame.
+_sequence = itertools.count(1)
+
 
 class Frame:
     """One on-air frame."""
 
     __slots__ = ("src", "dst", "payload", "payload_bytes", "on_air_bytes",
                  "airtime_ms", "sequence")
-
-    _sequence_counter = 0
 
     def __init__(self, src, payload, payload_bytes, dst=BROADCAST):
         if payload_bytes < 0:
@@ -41,8 +46,7 @@ class Frame:
         # several times per reception.
         self.on_air_bytes = payload_bytes + PHY_OVERHEAD_BYTES
         self.airtime_ms = self.on_air_bytes * 8.0 / MICA2_BITRATE_KBPS
-        Frame._sequence_counter += 1
-        self.sequence = Frame._sequence_counter
+        self.sequence = next(_sequence)
 
     def clone_with_payload(self, payload):
         """A copy of this frame carrying a different payload object.
