@@ -58,6 +58,8 @@ class BaselineNode(ImageNode):
     class constants, and a node takes no protocol config.
     """
 
+    __slots__ = ()
+
     #: Pause between the data frames of a stream (ms), the same for
     #: every baseline.
     data_gap_ms = 15.0

@@ -46,6 +46,8 @@ class CodedPageRequest:
 class CodedDelugeNode(CodedImage, DelugeNode):
     """One coded-Deluge node (see module docstring)."""
 
+    __slots__ = ("_encoders", "_coded_remaining")  # CodedImage's
+
     _REQUEST_TYPE = CodedPageRequest
     _DATA_TYPE = CodedDataPacket
 

@@ -66,6 +66,9 @@ class DelugeNode(BaselineNode):
     frame -- so coded Deluge swaps it and keeps the control plane.
     """
 
+    __slots__ = ("trickle", "_request_timer", "_rx_timer", "_request_dest",
+                 "_requests_left", "_tx_page", "_tx_vector", "_tx_timer")
+
     MAINTAIN = "maintain"
     RX = "rx"
     TX = "tx"

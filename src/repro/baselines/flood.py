@@ -24,6 +24,8 @@ class FloodAdv(Announcement):
 class FloodNode(BaselineNode):
     """One flooding node."""
 
+    __slots__ = ("is_base", "_outbox", "_tx_timer", "_adv_left")
+
     #: A relay rebroadcasts after a uniform draw up to this long (ms).
     REBROADCAST_WINDOW_MS = 200.0
     #: The base announces the image ADV_REPEATS times, ADV_GAP_MS apart.

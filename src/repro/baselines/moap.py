@@ -67,6 +67,11 @@ class Nak:
 class MoapNode(BaselineNode):
     """One MOAP node."""
 
+    __slots__ = ("_publish_timer", "_publish_interval", "_publishes_sent",
+                 "_subscribers", "_stream_seg", "_stream_pkt",
+                 "_stream_timer", "_repair_queue", "_repair_timer",
+                 "_subscribe_timer", "_nak_timer", "_nak_rounds_left")
+
     LISTEN = "listen"  # no full image yet
     PUBLISH = "publish"  # advertising the full image
     STREAM = "stream"  # sending the image

@@ -50,6 +50,9 @@ class XnpNak:
 class XnpNode(BaselineNode):
     """One XNP node; only the base station ever transmits data."""
 
+    __slots__ = ("is_base", "_adv_left", "_timer", "_stream",
+                 "_query_rounds_left", "_nak_queue", "_nak_timer")
+
     ANNOUNCE = "announce"  # base: advertising the image
     BROADCAST = "broadcast"  # base: sending packets
     COLLECT = "collect"  # base: NAK collection window after a query

@@ -31,6 +31,8 @@ from repro.experiments.common import register_protocol
 class CodedMNPNode(CodedImage, MNPNode):
     """MNP with a network-coded data plane (see module docstring)."""
 
+    __slots__ = ("_encoders", "_coded_remaining")  # CodedImage's
+
     # ------------------------------------------------------------------
     # Rank reports instead of bitmaps
     # ------------------------------------------------------------------

@@ -92,7 +92,21 @@ class ImageNode:
         base station (initial holder of the program); None otherwise.
     state:
         The protocol's initial role; None for a protocol with one role.
+
+    Every node class declares, in ``__slots__``, the attributes its own
+    methods set, so no node carries an instance dict.  An MNP node holds
+    over 50 attributes, past the point where CPython keeps them inline,
+    and with a dict every ``self.x`` in the protocol would be a hinted
+    dict lookup.  An undeclared attribute fails at once with
+    AttributeError.
     """
+
+    __slots__ = (
+        "mote", "sim", "node_id", "_energy_model", "state", "state_changes",
+        "program", "rvd_seg", "_seg_missing", "got_code_time", "parent",
+        "became_sender_at", "reported_parent", "first_adv", "_base_image",
+        "_per_packet", "security", "manifest", "auth_rejects", "quarantines",
+    )
 
     #: This protocol's roles, ``state -> states it may move to``, declared
     #: beside each node class (Fig. 4 for MNP) and merged into
@@ -471,7 +485,13 @@ class CodedImage:
     (security on) and flushed to flash exactly once per packet.  The
     protocol's control plane stays its own; it decides only how many
     coded packets a round sends and what a failed generation means.
+
+    Its two attributes, ``_encoders`` and ``_coded_remaining``, are
+    declared in each coded node class's ``__slots__``: two bases with
+    non-empty slots cannot share a subclass.
     """
+
+    __slots__ = ()
 
     def __init__(self, *args, **kwargs):
         self._encoders = {}  # (program_id, seg_id) -> GenerationEncoder

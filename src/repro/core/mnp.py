@@ -73,6 +73,24 @@ class MNPNode(ImageNode):
     Fig. 4 machine that moves the packets.
     """
 
+    __slots__ = (
+        "config", "groups", "_foreign_object",
+        # Advertise and request state.
+        "req_ctr", "_requesters", "offer_seg", "forward_vector",
+        "_adverts_sent", "_adv_interval", "_adv_timer", "_request_timer",
+        "_request_dest", "_request_echo",
+        # Download, forward, query and update state.
+        "download_seg", "_download_timeout", "_download_timer",
+        "_fwd_packets", "_fwd_index", "_fwd_timer", "_repair_vector",
+        "_query_timer", "_repair_rounds_left", "_update_phase",
+        "_update_timer",
+        # Sleep and naps.
+        "_sleep_timer", "_nap_timer", "_napping", "_listen_timer", "_timers",
+        # Signed advertisements, statistics and the fail backoff.
+        "_adv_nonce", "_nonce_seen", "fails", "_fail_streak",
+        "_backoff_until",
+    )
+
     TRANSITIONS = ALLOWED_TRANSITIONS
 
     def __init__(self, mote, config=None, image=None):

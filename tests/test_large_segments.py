@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import MNPConfig
 from repro.core.loss_log import EepromMissingLog
 from repro.core.messages import LossSummary
+from repro.core.mnp import MNPNode
 from repro.core.segments import CodeImage
 from repro.experiments.common import Deployment
 from repro.net.loss_models import PerfectLossModel, UniformLossModel
@@ -66,7 +67,7 @@ def test_receivers_use_eeprom_backed_tracking():
         assert node.mote.eeprom.write_ops > data_writes
 
 
-def test_requests_carry_summaries_not_bitmaps():
+def test_requests_carry_summaries_not_bitmaps(monkeypatch):
     image = large_image(256)
     cfg = MNPConfig(pipelining=False, large_segments=True)
     dep = Deployment(
@@ -76,14 +77,16 @@ def test_requests_carry_summaries_not_bitmaps():
         propagation=PropagationModel.outdoor(25.0),
     )
     summaries = []
-    original = dep.nodes[1]._loss_payload
+    original = MNPNode._loss_payload
 
-    def spy(seg_id):
-        payload = original(seg_id)
-        summaries.append(payload)
+    def spy(node, seg_id):
+        payload = original(node, seg_id)
+        if node.node_id == 1:
+            summaries.append(payload)
         return payload
 
-    dep.nodes[1]._loss_payload = spy
+    # A node has no instance dict to hold a spy, so it goes on the class.
+    monkeypatch.setattr(MNPNode, "_loss_payload", spy)
     dep.run_to_completion(deadline_ms=60 * MINUTE)
     assert summaries
     assert all(isinstance(p, LossSummary) for p in summaries)
