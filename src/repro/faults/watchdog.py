@@ -65,15 +65,20 @@ WATCHED = (
 _STREAMING = (MNPState.FORWARD, MNPState.QUERY)
 
 
-def _timer_node(name):
-    """Node id from a mote timer name (``n<id>:<label>``), else None."""
-    if not name.startswith("n"):
-        return None
-    head, _, _ = name.partition(":")
-    try:
-        return int(head[1:])
-    except ValueError:
-        return None
+class _TimerNodes(dict):
+    """Mote timer name (``n<id>:<label>``) -> node id, else None; each
+    name is parsed once, on its first lookup."""
+
+    def __missing__(self, name):
+        node = None
+        if name.startswith("n"):
+            head, _, _ = name.partition(":")
+            try:
+                node = int(head[1:])
+            except ValueError:
+                pass
+        self[name] = node
+        return node
 
 
 class InvariantWatchdog:
@@ -121,6 +126,7 @@ class InvariantWatchdog:
         self._streaming = set()  # nodes in FORWARD/QUERY
         self._browned = set()  # nodes mid-brownout (radio forced off)
         self._complete = set()  # nodes that reported got_code
+        self._timer_nodes = _TimerNodes()
         self._last_activity_ms = 0.0
         self._finished = False
         # One stable bound-method object: the tracer unsubscribes by
@@ -147,9 +153,12 @@ class InvariantWatchdog:
             )
 
     # ------------------------------------------------------------------
+    # Record fields are read from ``rec.fields``: ``rec.<field>`` would
+    # miss TraceRecord's slots and go through a Python __getattr__ call.
     def _on_record(self, rec):
         self.records_seen += 1
         category = rec.category
+        fields = rec.fields
         if not category.startswith("fault."):
             gap = rec.time - self._last_activity_ms
             if gap > self.stall_ms and not self._covered():
@@ -162,43 +171,48 @@ class InvariantWatchdog:
         if category == "mnp.state":
             self._on_state(rec)
         elif category == "timer.fire":
-            node = _timer_node(rec.name)
+            name = fields["name"]
+            node = self._timer_nodes[name]
             if node is not None and node in self._dead:
                 self._violate(
                     "dead-node-silent",
-                    f"timer {rec.name!r} fired on crashed node {node}",
+                    f"timer {name!r} fired on crashed node {node}",
                     node=node,
                 )
         elif category == "mnp.got_code":
-            self._check_dead(rec.node, category)
-            self._complete.add(rec.node)
+            node = fields["node"]
+            self._check_dead(node, category)
+            self._complete.add(node)
         elif category == "fault.crash":
-            self._dead.add(rec.node)
-            self._streaming.discard(rec.node)
-            self._pending_fail.pop(rec.node, None)
+            node = fields["node"]
+            self._dead.add(node)
+            self._streaming.discard(node)
+            self._pending_fail.pop(node, None)
         elif category == "fault.restart":
-            self._dead.discard(rec.node)
+            self._dead.discard(fields["node"])
         elif category == "fault.brownout":
-            if rec.phase == "start":
-                self._browned.add(rec.node)
+            node = fields["node"]
+            if fields["phase"] == "start":
+                self._browned.add(node)
             else:
-                self._browned.discard(rec.node)
-                if rec.node in self._streaming:
+                self._browned.discard(node)
+                if node in self._streaming:
                     # Back on the air mid-stream: re-check exclusivity.
-                    self._check_concurrent(rec.node)
+                    self._check_concurrent(node)
         elif category == "boot.install":
-            self._check_dead(rec.node, category)
+            self._check_dead(fields["node"], category)
             self._on_install(rec)
         elif category == "timer.suppressed":
             pass  # the alive-guard working as intended
         else:
             # Remaining protocol categories: liveness + dead-node audit.
-            node = rec.fields.get("node")
+            node = fields.get("node")
             if node is not None:
                 self._check_dead(node, category)
 
     def _on_state(self, rec):
-        node, frm, to = rec.node, rec.frm, rec.to
+        fields = rec.fields
+        node, frm, to = fields["node"], fields["frm"], fields["to"]
         self._check_dead(node, "mnp.state")
         # FAIL transience: the only state record allowed for a node with
         # a pending FAIL is the synchronous FAIL -> IDLE drain.
@@ -238,7 +252,8 @@ class InvariantWatchdog:
 
     def _on_install(self, rec):
         """Authentic-install audit on a successful ``boot.install``."""
-        node, version = rec.node, rec.version
+        fields = rec.fields
+        node, version = fields["node"], fields["version"]
         prev = self._installed_versions.get(node)
         if prev is not None and version <= prev:
             self._violate(
@@ -256,7 +271,7 @@ class InvariantWatchdog:
                 f"{self.expected_version}", node=node,
             )
         if self.expected_digest is not None \
-                and rec.fields.get("digest") != self.expected_digest:
+                and fields.get("digest") != self.expected_digest:
             self._violate(
                 "authentic-install",
                 f"node {node} booted an image whose digest does not match "
