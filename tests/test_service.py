@@ -124,19 +124,24 @@ def test_misspelled_override_fails_the_job_and_caches_nothing(tmp_path):
     asyncio.run(_serve(tmp_path, 1, body))
 
 
-def test_nan_config_field_fails_the_job_and_caches_nothing(tmp_path):
-    # JSON carries NaN both ways; the config rejects it at construction
-    # instead of running a network whose timers fire at NaN times.
+@pytest.mark.parametrize("overrides,complaint", [
+    ({"config": {"adv_interval_ms": math.nan}}, "advertisement interval"),
+    ({"deadline_min": math.nan}, "NaN deadline"),
+], ids=["config", "deadline"])
+def test_a_nan_field_fails_the_job_and_caches_nothing(tmp_path, overrides,
+                                                      complaint):
+    # JSON carries NaN both ways.  A NaN config field would run a network
+    # whose timers fire at NaN times, and a NaN deadline never passes.
     async def body(svc, host, port):
         client = ServiceClient(host, port)
         try:
-            submitted = await client.submit(probe_payload(
-                seed=11, config={"adv_interval_ms": math.nan}))
+            submitted = await client.submit(probe_payload(seed=11,
+                                                          **overrides))
             record = await client.wait(submitted["job"], timeout_s=60)
         finally:
             await client.close()
         assert record["status"] == "failed"
-        assert "advertisement interval" in record["error"]
+        assert complaint in record["error"]
         assert list((tmp_path / "cache").glob("*.json")) == []
 
     asyncio.run(_serve(tmp_path, 1, body))

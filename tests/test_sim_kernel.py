@@ -59,6 +59,21 @@ def test_nan_time_rejected():
     assert sim.pending == 0
 
 
+def test_nan_horizon_and_deadline_rejected():
+    # run(until=NaN) would run nothing and leave the clock alone, and a
+    # NaN deadline is never reached, so run_until would only stop on its
+    # predicate or an empty heap.
+    sim = Simulator()
+    sim.schedule(5.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(until=math.nan)
+    with pytest.raises(SimulationError):
+        sim.run_until(lambda: False, deadline=math.nan)
+    with pytest.raises(SimulationError):
+        sim.run_until(lambda: False, check_every=math.nan)
+    assert sim.pending == 1
+
+
 def test_run_until_time_boundary():
     sim = Simulator()
     seen = []
