@@ -114,6 +114,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and math.isnan(until):
+            raise SimulationError("NaN run horizon")
         self._running = True
         executed = 0
         horizon = math.inf if until is None else until
@@ -166,6 +168,10 @@ class Simulator:
         predicates reading ``sim.now`` directly should use ``deadline``
         for exact cutoffs.)
         """
+        if deadline is not None and math.isnan(deadline):
+            # It would never pass: only the predicate or an empty heap
+            # could end the run.
+            raise SimulationError("NaN deadline")
         heap = self._heap
         while True:
             if predicate():
