@@ -31,8 +31,8 @@ def test_ablation_sender_selection(benchmark, baseline):
                                  "no-sender-selection": outcome}))
     assert baseline.coverage == 1.0
     # More concurrent senders -> more collisions per data packet sent.
-    base_rate = baseline.collector.collisions / max(1, baseline.data_tx)
-    ablated_rate = outcome.collector.collisions / max(1, outcome.data_tx)
+    base_rate = baseline.collisions / max(1, baseline.data_tx)
+    ablated_rate = outcome.collisions / max(1, outcome.data_tx)
     assert ablated_rate > base_rate
 
 

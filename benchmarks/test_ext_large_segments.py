@@ -39,7 +39,7 @@ def _run(segment_packets, large):
     )
     res = dep.run_to_completion(deadline_ms=60 * MINUTE)
     control = sum(
-        1 for _, _, kind in res.collector.tx_log if kind in CONTROL_KINDS
+        1 for _, _, kind in res.channel.tx_log if kind in CONTROL_KINDS
     )
     eeprom_ops = sum(m.eeprom.write_ops + m.eeprom.read_ops
                      for m in dep.motes.values())

@@ -27,7 +27,7 @@ def test_ext_tdma(benchmark):
         return [label, f"{run.coverage:.0%}",
                 f"{run.completion_time_ms / 1000:.0f}",
                 f"{run.average_active_radio_s():.0f}",
-                run.collector.collisions]
+                run.collisions]
 
     save_report("ext_tdma", format_table(
         ["MAC", "coverage", "completion(s)", "avg ART(s)", "collisions"],
@@ -39,7 +39,7 @@ def test_ext_tdma(benchmark):
     assert csma_run.coverage == 1.0
     assert tdma_run.coverage == 1.0
     # The §5 claim: slotted transmission eliminates collisions entirely.
-    assert tdma_run.collector.collisions == 0
-    assert csma_run.collector.collisions > 0
+    assert tdma_run.collisions == 0
+    assert csma_run.collisions > 0
     # The §5 cost: slot waiting slows dissemination.
     assert tdma_run.completion_time_ms > csma_run.completion_time_ms

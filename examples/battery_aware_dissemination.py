@@ -48,7 +48,7 @@ def run(battery_aware, seed=11):
     assert result.all_complete
 
     data_tx = {n: 0 for n in topology.node_ids()}
-    for _, node, kind in result.collector.tx_log:
+    for _, node, kind in result.channel.tx_log:
         if kind == "DataPacket":
             data_tx[node] += 1
     weak_tx = sum(v for n, v in data_tx.items() if n in weak)

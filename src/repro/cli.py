@@ -610,7 +610,7 @@ def _cmd_run(args, out):
     out.write(f"  avg active radio:  "
               f"{result.average_active_radio_s():.0f} s\n")
     out.write(f"  messages sent:     {result.messages}\n")
-    out.write(f"  collisions:        {result.collector.collisions}\n")
+    out.write(f"  collisions:        {result.collisions}\n")
     out.write(f"  mean energy:       "
               f"{result.mean_energy_nah / 1000:.1f} uAh\n")
     out.write(f"  images intact:     {result.images_intact(image)}\n")

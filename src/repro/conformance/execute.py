@@ -139,7 +139,7 @@ def run_scenario(scenario, protocol="mnp", variant=None):
         "completion_ms": run.completion_time_ms,
         "deadline_hit": run.deadline_hit,
         "messages_sent": run.messages,
-        "collisions": run.collector.collisions,
+        "collisions": run.collisions,
         "content_ok": run.corrupt_images == 0,
         "content_sha": _content_digest(run.images()),
         "image_sha": hashlib.sha256(image.to_bytes()).hexdigest(),

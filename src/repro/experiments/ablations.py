@@ -55,7 +55,7 @@ def ablation_report(runs):
     rows = [
         [name, f"{run.coverage:.0%}",
          f"{run.completion_s:.0f}" if run.completion_s else "-",
-         f"{run.average_active_radio_s():.0f}", run.collector.collisions,
+         f"{run.average_active_radio_s():.0f}", run.collisions,
          run.data_tx]
         for name, run in runs.items()
     ]

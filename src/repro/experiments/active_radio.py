@@ -124,7 +124,7 @@ MNP_MESSAGE_KINDS = ("Advertisement", "DownloadRequest", "DataPacket")
 def fig12_series(run, window_ms=MINUTE):
     """Per-window transmission counts for the three headline message
     types (paper Fig. 12)."""
-    return run.collector.tx_per_window(
+    return run.tx_per_window(
         window_ms, kinds=list(MNP_MESSAGE_KINDS),
         until=run.completion_time_ms,
     )

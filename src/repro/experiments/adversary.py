@@ -125,7 +125,7 @@ def adversary_experiment(spec, plan=None, attack_class=None, intensity=0.5,
         "corrupt_images": corrupt,
         "images_intact": corrupt == 0,
         "messages_sent": run.messages,
-        "collisions": run.collector.collisions,
+        "collisions": run.collisions,
         "elapsed_s": run.sim.now / SECOND,
         "faults": run.controller.summary(),
         "watchdog_ok": run.verdict["ok"],

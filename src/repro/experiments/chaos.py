@@ -164,7 +164,7 @@ class FaultedRun(RunResult):
             "corrupt_images": corrupt,
             "images_intact": corrupt == 0,
             "messages_sent": self.messages,
-            "collisions": self.collector.collisions,
+            "collisions": self.collisions,
             "elapsed_s": self.sim.now / SECOND,
             "faults": self.controller.summary(),
             "watchdog_ok": self.verdict["ok"],

@@ -12,11 +12,12 @@ byte-identical channels (same seed => same per-edge loss factors), making
 comparisons paired rather than merely sampled.
 """
 
+from collections import Counter
+
 from repro.core.config import MNPConfig
 from repro.core.mnp import MNPNode
 from repro.core.segments import CodeImage
 from repro.hardware.mote import Mote, MoteConfig
-from repro.metrics.collector import MetricsCollector
 from repro.net.loss_models import EmpiricalLossModel
 from repro.net.topology import Topology
 from repro.radio.channel import Channel
@@ -47,17 +48,26 @@ class RunResult:
 
     The one reader of a finished deployment: it decides which nodes
     count (the :attr:`alive` ones, which is every node unless a fault
-    plan crashed some) and defines each headline number once.
+    plan crashed some) and defines each headline number once.  Per-frame
+    facts come from the channel and its radios, which count every frame
+    themselves; run milestones come from the nodes, which stamp them.
     """
 
     def __init__(self, deployment, deadline_hit):
         self.deployment = deployment
         self.sim = deployment.sim
         self.topology = deployment.topology
+        self.channel = deployment.channel
         self.nodes = deployment.nodes
         self.motes = deployment.motes
-        self.collector = deployment.collector
         self.deadline_hit = deadline_hit
+
+    @property
+    def collector(self):
+        """This result, under the name perfbench's ``workloads.py``
+        reads ``collisions`` through; it goes when that file reads
+        :attr:`collisions` directly."""
+        return self
 
     # ------------------------------------------------------------------
     # Reliability (coverage + accuracy)
@@ -161,11 +171,9 @@ class RunResult:
     def active_radio_no_initial_ms(self):
         """node -> active radio time excluding the initial idle listening
         before the node's first advertisement arrived (Fig. 9)."""
-        totals = self.active_radio_ms()
-        first_adv = self.collector.first_adv
         out = {}
-        for node_id, total in totals.items():
-            snapshot = first_adv.get(node_id)
+        for node_id, total in self.active_radio_ms().items():
+            snapshot = self.nodes[node_id].first_adv
             before = snapshot[1] if snapshot is not None else 0.0
             out[node_id] = max(0.0, total - before)
         return out
@@ -198,27 +206,61 @@ class RunResult:
     @property
     def messages(self):
         """Transmissions started, aborted ones included."""
-        return len(self.collector.tx_log)
+        return len(self.channel.tx_log)
 
     @property
     def data_tx(self):
         """Data frames sent (``DataPacket``, coded ones excluded)."""
         return sum(
-            1 for _, _, kind in self.collector.tx_log if kind == "DataPacket"
+            1 for _, _, kind in self.channel.tx_log if kind == "DataPacket"
         )
 
+    @property
+    def collisions(self):
+        """Receptions corrupted by an overlapping transmission."""
+        return self.channel.collisions
+
     def messages_sent(self):
-        return dict(self.collector.tx_by_node)
+        """node -> transmissions started, in first-transmission order."""
+        return dict(Counter(node for _, node, _ in self.channel.tx_log))
 
     def messages_received(self):
-        return dict(self.collector.rx_by_node)
+        """node -> frames decoded, for nodes that decoded at least one."""
+        return {node: radio.frames_received
+                for node, radio in self.channel.radios.items()
+                if radio.frames_received}
+
+    def tx_per_window(self, window_ms, kinds=None, until=None):
+        """Message transmissions bucketed into fixed windows (Fig. 12).
+
+        Returns ``{kind: [count per window]}`` with all lists equally long.
+        """
+        tx_log = self.channel.tx_log
+        if until is None:
+            until = max((t for t, _, _ in tx_log), default=0.0)
+        n_windows = int(until // window_ms) + 1 if until else 1
+        if kinds is None:
+            kinds = sorted({kind for _, _, kind in tx_log})
+        series = {kind: [0] * n_windows for kind in kinds}
+        for time, _, kind in tx_log:
+            if kind in series and time <= until:
+                series[kind][int(time // window_ms)] += 1
+        return series
 
     def parent_map(self):
         """node -> the parent it last downloaded from (Figs. 5-7)."""
-        return self.collector.parents
+        return {node_id: node.reported_parent
+                for node_id, node in self.nodes.items()
+                if node.reported_parent is not None}
 
     def sender_order(self):
-        return self.collector.sender_order()
+        """Nodes in the order they first became senders (Figs. 5-7),
+        ties broken by node id."""
+        return [node_id for _, node_id in sorted(
+            (node.became_sender_at, node_id)
+            for node_id, node in self.nodes.items()
+            if node.became_sender_at is not None
+        )]
 
     def to_dict(self):
         """The run's headline metrics as a JSON-ready dict (used by the
@@ -233,7 +275,7 @@ class RunResult:
             "idle_listening_savings": self.idle_listening_savings(),
             "messages_sent": self.messages,
             "messages_received": sum(self.messages_received().values()),
-            "collisions": self.collector.collisions,
+            "collisions": self.collisions,
             "mean_energy_nah": self.mean_energy_nah,
             "senders": len(self.sender_order()),
         }
@@ -356,7 +398,6 @@ class Deployment:
             if groups_by_node is not None and hasattr(node, "groups"):
                 node.groups = frozenset(groups_by_node.get(node_id, ()))
             self.nodes[node_id] = node
-        self.collector = MetricsCollector(self.channel, self.nodes)
         self.security = security
         if security is not None and security.enabled:
             self._arm_security(security)

@@ -39,7 +39,7 @@ def comparison_report(runs):
             f"{art_s:.0f}",
             f"{art_s / completion_s:.0%}" if completion_s else "-",
             run.messages,
-            run.collector.collisions,
+            run.collisions,
             f"{run.mean_energy_nah / 1000:.0f}",
         ])
     return format_table(

@@ -1,17 +1,15 @@
-"""Measurement infrastructure.
+"""Rendering and export of a run's measurements.
 
-The collector reads what the run's objects keep and subscribes to
-nothing.  From the channel and its radios: message transmissions and
-receptions by type and location, and collision counts.  From the nodes'
-milestones: parent-child relationships, the order in which nodes become
-senders, and first advertisements.  Active radio time and get-code
-times come straight from the radios and nodes
-(:class:`repro.experiments.common.RunResult`).  The reports module
-renders them as the tables and grid-heatmap figures of the paper; the
-export module writes a run's trace records to a file.
+The measurements themselves are read by
+:class:`repro.experiments.common.RunResult` from what the run's objects
+keep, with nothing subscribed: message transmissions, receptions and
+collisions from the channel and its radios; parents, sender order, first
+advertisements and get-code times from the nodes' milestones; active
+radio time from the radios.  The reports module renders them as the
+tables and grid-heatmap figures of the paper; the export module writes a
+run's trace records to a file.
 """
 
-from repro.metrics.collector import MetricsCollector
 from repro.metrics.export import TraceWriter, export_run, read_trace
 from repro.metrics.reports import (
     format_grid,
@@ -21,7 +19,6 @@ from repro.metrics.reports import (
 )
 
 __all__ = [
-    "MetricsCollector",
     "TraceWriter",
     "export_run",
     "read_trace",

@@ -163,7 +163,7 @@ def profile_dissemination(rows=20, cols=20, spacing_ft=10.0, range_ft=13.0,
             "coverage": result.coverage,
             "completion_ms": result.completion_time_ms,
             "messages_sent": result.messages,
-            "collisions": result.collector.collisions,
+            "collisions": result.collisions,
         },
     }
 

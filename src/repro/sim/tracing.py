@@ -3,11 +3,12 @@
 Components emit structured trace records (category + fields); subscribers --
 the invariant watchdog, trace writers, the service's progress stream,
 tests -- receive them synchronously.  The bus serves live observers only:
-the metrics collector subscribes to nothing.  Run milestones (senders,
-parents, got-code times) are stamped on the nodes by the same calls that
-trace them, and per-frame counts (transmissions, decoded frames,
-collisions) are read from the channel and radio counters, the same way
-energy comes from the radios' time integrals.  An emit that reaches no
+a run's metrics (:class:`repro.experiments.common.RunResult`) subscribe
+to nothing.  Run milestones (senders, parents, got-code times) are
+stamped on the nodes by the same calls that trace them, and per-frame
+counts (transmissions, decoded frames, collisions) are read from the
+channel and radio counters, the same way energy comes from the radios'
+time integrals.  An emit that reaches no
 subscriber builds no record, and the per-frame and per-state-change
 records are not even emitted unless something subscribes to them.
 

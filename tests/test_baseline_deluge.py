@@ -88,7 +88,7 @@ def test_progress_traces_emitted():
     image = image2()
     dep, res = run(Topology.line(3, 20), image)
     assert set(res.got_code_times_ms()) == set(dep.topology.node_ids())
-    assert dep.collector.parents  # mnp.parent records
+    assert res.parent_map()  # mnp.parent records
 
 
 def test_page_sequential_delivery():

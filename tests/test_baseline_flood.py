@@ -46,7 +46,7 @@ def test_receivers_rebroadcast_each_packet_at_most_once():
     image = image1()
     dep, res = run(Topology.line(3, 20), image)
     data_tx = {}
-    for _, node, kind in dep.collector.tx_log:
+    for _, node, kind in dep.channel.tx_log:
         if kind == "DataPacket":
             data_tx[node] = data_tx.get(node, 0) + 1
     assert data_tx[dep.base_id] == 8
@@ -67,7 +67,7 @@ def test_flood_sends_redundant_data_vs_mnp():
     assert res_mnp.all_complete
 
     def data_tx(dep):
-        return sum(1 for _, _, kind in dep.collector.tx_log
+        return sum(1 for _, _, kind in dep.channel.tx_log
                    if kind == "DataPacket")
 
     assert data_tx(dep_f) > 2 * data_tx(dep_m)
@@ -78,5 +78,5 @@ def test_flood_has_no_repair_mechanism():
     initial advertisements only."""
     image = image1()
     dep, res = run(Topology.line(3, 20), image)
-    kinds = {kind for _, _, kind in dep.collector.tx_log}
+    kinds = {kind for _, _, kind in dep.channel.tx_log}
     assert kinds <= {"DataPacket", "FloodAdv"}

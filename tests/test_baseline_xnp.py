@@ -62,6 +62,6 @@ def test_nak_repair_recovers_losses(monkeypatch):
 def test_non_base_nodes_never_send_data():
     image = image2()
     dep, res = run(Topology.line(3, 10), image)
-    for t, node, kind in dep.collector.tx_log:
+    for t, node, kind in dep.channel.tx_log:
         if kind == "DataPacket":
             assert node == dep.base_id

@@ -58,7 +58,7 @@ def churn_deployment(rows, cols, kill_fraction, seed, n_segments):
 def pin_of(dep):
     times = [dep.nodes[n].got_code_time for n in sorted(dep.nodes)]
     return (hashlib.sha256(repr(times).encode()).hexdigest(),
-            dep.channel.transmissions, dep.collector.collisions,
+            dep.channel.transmissions, dep.channel.collisions,
             dep.sim.now)
 
 

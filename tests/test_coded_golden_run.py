@@ -55,7 +55,7 @@ def record():  # pragma: no cover - developer tool
         image, res = golden_run(protocol)
         print(f"{protocol!r}: ({res.completion_time_ms!r}, "
               f"{sum(res.messages_sent().values())}, "
-              f"{res.collector.collisions}),  "
+              f"{res.collisions}),  "
               f"intact={res.images_intact(image)}")
 
 
@@ -67,7 +67,7 @@ def test_coded_golden_run_matches_recorded_values(protocol):
     assert res.images_intact(image)
     assert res.completion_time_ms == completion_ms
     assert sum(res.messages_sent().values()) == messages
-    assert res.collector.collisions == collisions
+    assert res.collisions == collisions
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -45,7 +45,7 @@ def record():  # pragma: no cover - developer tool
     dep, res = golden_run()
     print("GOLDEN_COMPLETION_MS =", repr(res.completion_time_ms))
     print("GOLDEN_MESSAGES =", sum(res.messages_sent().values()))
-    print("GOLDEN_COLLISIONS =", res.collector.collisions)
+    print("GOLDEN_COLLISIONS =", res.collisions)
     print("GOLDEN_SENDER_ORDER =", res.sender_order())
 
 
@@ -54,7 +54,7 @@ def test_golden_run_matches_recorded_values():
     assert res.all_complete
     assert res.completion_time_ms == GOLDEN_COMPLETION_MS
     assert sum(res.messages_sent().values()) == GOLDEN_MESSAGES
-    assert res.collector.collisions == GOLDEN_COLLISIONS
+    assert res.collisions == GOLDEN_COLLISIONS
     assert res.sender_order() == GOLDEN_SENDER_ORDER
 
 

@@ -1,8 +1,7 @@
-"""Tests for the metrics collector and report rendering."""
+"""Tests for a run's views (:class:`RunResult`) and report rendering."""
 
 from repro.core.image_node import ProgramInfo
-from repro.core.mnp import MNPNode
-from repro.metrics.collector import MetricsCollector
+from repro.experiments.common import Deployment, RunResult
 from repro.metrics.reports import (
     format_grid,
     format_table,
@@ -11,37 +10,18 @@ from repro.metrics.reports import (
 )
 from repro.net.loss_models import PerfectLossModel
 from repro.net.topology import Topology
-from repro.radio.channel import Channel
 from repro.radio.packet import Frame
-from repro.radio.propagation import PropagationModel
-from repro.radio.radio import Radio
-from repro.sim.kernel import Simulator
 
-from tests.conftest import make_world
 from tests.test_mnp_unit import adv_from
 
 
-def milestone_nodes(*node_ids):
-    """Never-started MNP nodes with the given ids on a perfect channel,
-    and a collector over them."""
-    world = make_world([(10.0 * i, 0.0) for i in range(max(node_ids) + 1)])
-    nodes = {i: MNPNode(world.motes[i]) for i in node_ids}
-    return world.sim, nodes, MetricsCollector(world.channel, nodes)
-
-
-def build_channel(n_nodes):
-    """A perfect channel over ``n_nodes`` nodes 10 ft apart in a row (all
-    in range of each other), with a radio attached at each, all off."""
-    sim = Simulator()
-    topo = Topology([(10.0 * i, 0.0) for i in range(n_nodes)])
-    channel = Channel(sim, topo, PerfectLossModel(),
-                      PropagationModel.outdoor())
-    radios = []
-    for node in topo.node_ids():
-        radio = Radio(sim, node)
-        channel.attach(radio)
-        radios.append(radio)
-    return sim, channel, radios
+def small_run(n_nodes):
+    """Never-started MNP nodes ``0..n_nodes-1`` 10 ft apart in a row on a
+    perfect channel (all in range of each other), radios off, and the
+    :class:`RunResult` over them."""
+    dep = Deployment(Topology([(10.0 * i, 0.0) for i in range(n_nodes)]),
+                     loss_model=PerfectLossModel(), base_id=0)
+    return dep, RunResult(dep, deadline_hit=False)
 
 
 def frame(radio, kind, payload_bytes=20):
@@ -49,31 +29,32 @@ def frame(radio, kind, payload_bytes=20):
     return Frame(radio.node_id, type(kind, (), {})(), payload_bytes)
 
 
-def transmit_at(sim, channel, radio, t, kind):
-    """Switch ``radio`` on and put a ``kind`` frame on the air at ``t`` ms."""
+def transmit_at(dep, node, t, kind):
+    """Switch ``node``'s radio on and put a ``kind`` frame on the air at
+    ``t`` ms."""
+    radio = dep.motes[node].radio
 
     def send():
         radio.turn_on()
-        channel.transmit(radio, frame(radio, kind))
+        dep.channel.transmit(radio, frame(radio, kind))
 
-    sim.schedule_at(t, send)
+    dep.sim.schedule_at(t, send)
 
 
 def test_tx_rx_counting():
-    sim, channel, radios = build_channel(3)
-    collector = MetricsCollector(channel, {})
-    sender, receiver = radios[1], radios[2]
+    dep, run = small_run(3)
+    sender, receiver = dep.motes[1].radio, dep.motes[2].radio
     sender.turn_on()
     receiver.turn_on()
-    channel.transmit(sender, frame(sender, "DataPacket", 40))
-    sim.run()
+    dep.channel.transmit(sender, frame(sender, "DataPacket", 40))
+    dep.sim.run()
     receiver.turn_off()  # decodes the data packet only
-    channel.transmit(sender, frame(sender, "Advertisement"))
-    sim.run()
-    assert collector.tx_by_node[1] == 2
-    assert [kind for _, node, kind in collector.tx_log if node == 1] == \
+    dep.channel.transmit(sender, frame(sender, "Advertisement"))
+    dep.sim.run()
+    assert run.messages_sent()[1] == 2
+    assert [kind for _, node, kind in run.channel.tx_log if node == 1] == \
         ["DataPacket", "Advertisement"]
-    assert collector.rx_by_node[2] == 1
+    assert run.messages_received()[2] == 1
 
 
 def report_sender(sim, node, t, seg, req_ctr):
@@ -82,34 +63,35 @@ def report_sender(sim, node, t, seg, req_ctr):
 
 
 def test_sender_order_dedups_and_sorts():
-    sim, nodes, collector = milestone_nodes(3, 4, 5)
-    report_sender(sim, nodes[5], 10.0, 1, 2)
-    report_sender(sim, nodes[3], 20.0, 1, 1)
-    report_sender(sim, nodes[5], 30.0, 2, 1)
+    dep, run = small_run(6)
+    nodes = dep.nodes
+    report_sender(dep.sim, nodes[5], 10.0, 1, 2)
+    report_sender(dep.sim, nodes[3], 20.0, 1, 1)
+    report_sender(dep.sim, nodes[5], 30.0, 2, 1)
     assert nodes[5].became_sender_at == 10.0  # the first turn stays
-    assert collector.sender_order() == [5, 3]
+    assert run.sender_order() == [5, 3]
 
 
 def test_sender_order_breaks_ties_by_node_id():
-    sim, nodes, collector = milestone_nodes(3, 4, 5)
-    report_sender(sim, nodes[5], 10.0, 1, 1)
-    report_sender(sim, nodes[3], 10.0, 1, 1)
-    assert collector.sender_order() == [3, 5]
+    dep, run = small_run(6)
+    report_sender(dep.sim, dep.nodes[5], 10.0, 1, 1)
+    report_sender(dep.sim, dep.nodes[3], 10.0, 1, 1)
+    assert run.sender_order() == [3, 5]
 
 
 def test_parents_are_the_last_reported():
-    sim, nodes, collector = milestone_nodes(1, 2)
-    node = nodes[2]
+    dep, run = small_run(3)
+    node = dep.nodes[2]
     for parent in (0, 1):
         node.parent = parent
         node._report_parent(seg=1)
     node.parent = 0  # taken without a parent record: not reported
-    assert collector.parents == {2: 1}
+    assert run.parent_map() == {2: 1}
 
 
 def test_got_code_first_time_wins():
-    sim, nodes, _ = milestone_nodes(7)
-    node = nodes[7]
+    dep, _ = small_run(8)
+    sim, node = dep.sim, dep.nodes[7]
     node.program = ProgramInfo(1, 1, 8, 8)
     assert not node._report_got_code()  # not complete yet
     node.rvd_seg = 1
@@ -121,37 +103,38 @@ def test_got_code_first_time_wins():
 
 
 def test_tx_per_window_buckets():
-    sim, channel, radios = build_channel(3)
-    collector = MetricsCollector(channel, {})
-    transmit_at(sim, channel, radios[1], 100.0, "A")
-    transmit_at(sim, channel, radios[1], 59_000.0, "A")
-    transmit_at(sim, channel, radios[2], 61_000.0, "B")
-    sim.run()
-    series = collector.tx_per_window(60_000.0)
+    dep, run = small_run(3)
+    transmit_at(dep, 1, 100.0, "A")
+    transmit_at(dep, 1, 59_000.0, "A")
+    transmit_at(dep, 2, 61_000.0, "B")
+    dep.sim.run()
+    series = run.tx_per_window(60_000.0)
     assert series["A"] == [2, 0]
     assert series["B"] == [0, 1]
 
 
 def test_tx_per_window_kind_filter_and_until():
-    sim, channel, radios = build_channel(2)
-    collector = MetricsCollector(channel, {})
-    transmit_at(sim, channel, radios[1], 100.0, "A")
-    sim.run()
-    series = collector.tx_per_window(60_000.0, kinds=["A", "Z"],
-                                     until=120_000.0)
+    dep, run = small_run(2)
+    transmit_at(dep, 1, 100.0, "A")
+    dep.sim.run()
+    series = run.tx_per_window(60_000.0, kinds=["A", "Z"],
+                               until=120_000.0)
     assert series["A"] == [1, 0, 0]
     assert series["Z"] == [0, 0, 0]
 
 
 def test_first_adv_snapshot():
-    sim, nodes, collector = milestone_nodes(3, 4)
-    node = nodes[4]
+    dep, run = small_run(5)
+    sim, node = dep.sim, dep.nodes[4]
     node.start()
     sim.run(until=500.0)
     node._handle_advertisement(adv_from(0))
     sim.run(until=700.0)
     node._handle_advertisement(adv_from(0))
-    assert collector.first_adv == {4: (500.0, 500.0)}
+    assert {n: node.first_adv for n, node in dep.nodes.items()
+            if node.first_adv is not None} == {4: (500.0, 500.0)}
+    assert run.active_radio_no_initial_ms()[4] == \
+        run.active_radio_ms()[4] - 500.0
 
 
 def test_format_table_alignment():

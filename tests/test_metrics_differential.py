@@ -1,9 +1,9 @@
-"""Differential test: the collector's per-frame views against the trace.
+"""Differential test: a run's per-frame views against the trace.
 
-``MetricsCollector`` reads transmissions, decoded frames and collisions
+:class:`RunResult` reads transmissions, decoded frames and collisions
 from the channel and its radios.  :class:`RecordOracle` rebuilds the same
 views from one ``radio.tx``, ``radio.rx`` or ``channel.collision`` trace
-record per frame, the way the collector itself once did, and every view
+record per frame, the way the metrics collector once did, and every view
 must equal it on seeded runs covering stock MNP, the secured coded
 variant, crashes and brownouts that abort frames mid-air, decode
 corruption, the TDMA MAC and Deluge.  Attaching the oracle makes the
@@ -70,15 +70,13 @@ def _deployment(protocol="mnp", rows=4, cols=4, range_ft=13.0, seed=3,
 
 def stock_mnp():
     dep = _deployment(n_segments=2)
-    dep.run_to_completion(deadline_ms=60 * MINUTE)
-    return dep
+    return dep.run_to_completion(deadline_ms=60 * MINUTE)
 
 
 def secured_coded_mnp():
     dep = _deployment("coded_mnp", rows=3, cols=3, range_ft=25.0, seed=42,
                       n_segments=2, security=SecurityConfig(enabled=True))
-    dep.run_to_completion(deadline_ms=60 * MINUTE)
-    return dep
+    return dep.run_to_completion(deadline_ms=60 * MINUTE)
 
 
 def chaos():
@@ -96,7 +94,7 @@ def chaos():
     channel = out.deployment.channel
     finished = sum(r.frames_sent for r in channel.radios.values())
     assert channel.transmissions > finished  # frames aborted mid-air
-    return out.deployment
+    return out
 
 
 def mnp_over_tdma():
@@ -108,14 +106,12 @@ def mnp_over_tdma():
             mac_factory=lambda sim, radio, channel, seed: TdmaMac(
                 sim, radio, channel, schedule, seed=seed)),
     )
-    dep.run_to_completion(deadline_ms=60 * MINUTE)
-    return dep
+    return dep.run_to_completion(deadline_ms=60 * MINUTE)
 
 
 def deluge():
     dep = _deployment("deluge", n_segments=2)
-    dep.run_to_completion(deadline_ms=60 * MINUTE)
-    return dep
+    return dep.run_to_completion(deadline_ms=60 * MINUTE)
 
 
 SCENARIOS = {
@@ -133,31 +129,28 @@ def observed(scenario):
     oracle = RecordOracle()
     tap = push_tap(oracle.on_record, categories=RecordOracle.CATEGORIES)
     try:
-        dep = SCENARIOS[scenario]()
+        run = SCENARIOS[scenario]()
     finally:
         pop_tap(tap)
-    return dep, oracle
+    return run, oracle
 
 
-def outcome(dep):
-    collector = dep.collector
-    got_code = {n: node.got_code_time for n, node in dep.nodes.items()}
-    return (dep.sim.events_executed, dep.sim.now, got_code,
-            collector.tx_log, dict(collector.rx_by_node),
-            collector.collisions)
+def outcome(run):
+    got_code = {n: node.got_code_time for n, node in run.nodes.items()}
+    return (run.sim.events_executed, run.sim.now, got_code,
+            run.channel.tx_log, run.messages_received(), run.collisions)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_collector_views_equal_record_oracle(scenario):
-    dep, oracle = observed(scenario)
-    collector = dep.collector
+    run, oracle = observed(scenario)
     assert oracle.tx_log and oracle.rx_by_node
-    assert collector.tx_log == oracle.tx_log
-    assert list(collector.tx_by_node.items()) == \
+    assert run.channel.tx_log == oracle.tx_log
+    assert list(run.messages_sent().items()) == \
         list(oracle.tx_by_node.items())
-    assert dict(collector.rx_by_node) == dict(oracle.rx_by_node)
-    assert collector.collisions == oracle.collisions
-    assert dep.channel.transmissions == len(oracle.tx_log)
+    assert run.messages_received() == dict(oracle.rx_by_node)
+    assert run.collisions == oracle.collisions
+    assert run.channel.transmissions == len(oracle.tx_log)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

@@ -76,7 +76,8 @@ def test_node_milestones_equal_trace(protocol, scenario):
     assert oracle.sender_events and oracle.parents
     assert run.sender_order() == oracle.sender_order()
     assert run.parent_map() == oracle.parents
-    assert run.collector.first_adv == oracle.first_adv
+    assert {n: node.first_adv for n, node in run.nodes.items()
+            if node.first_adv is not None} == oracle.first_adv
     assert bool(oracle.first_adv) == (protocol in MNP_FAMILY)
     got_code = run.got_code_times_ms()
     assert got_code.pop(run.deployment.base_id) == 0.0

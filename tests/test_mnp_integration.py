@@ -172,7 +172,7 @@ def test_only_one_active_sender_per_neighborhood():
     dep, res = run(Topology.grid(3, 3, 15), image, seed=6)
     assert res.all_complete
     # reconstruct data-transmission intervals per sender
-    sends = [(t, node) for t, node, kind in dep.collector.tx_log
+    sends = [(t, node) for t, node, kind in dep.channel.tx_log
              if kind == "DataPacket"]
     per_packet = 45 * 8 / 19.2  # 23B payload + headers
     for i, (t1, n1) in enumerate(sends):

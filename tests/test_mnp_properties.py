@@ -89,7 +89,7 @@ def test_property_runs_are_deterministic(seed):
                                segment_packets=4, seed=seed, ber=1e-4,
                                config=MNPConfig())
         return (res.completion_time_ms, dict(res.messages_sent()),
-                res.collector.collisions)
+                res.collisions)
 
     assert once() == once()
 

@@ -6,7 +6,8 @@ fails only when the benchmark itself runs, so this module loads
 perfbench's own ``workloads.py`` and ``layers.py`` from their files and
 exercises the reads they make: a seeded ``coded_secure`` run checked
 against ``perfbench/reference.json`` (its outcome reads
-``RunResult.messages_sent()`` and ``RunResult.collector.collisions``),
+``RunResult.messages_sent()``, and ``collisions`` through the
+``collector`` alias ``RunResult`` keeps for it),
 the code-path record of a built ``dissemination`` job, and every counter
 ``Harvest`` sums.
 """

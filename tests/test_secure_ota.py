@@ -384,7 +384,7 @@ def test_disabled_security_is_bit_identical_to_none():
         dep = Deployment(topo, image=image, seed=0, security=security)
         result = dep.run_to_completion()
         return (dep.sim.now, result.deadline_hit,
-                dict(dep.collector.tx_by_node), dep.collector.collisions)
+                result.messages_sent(), result.collisions)
 
     assert run(None) == run(SecurityConfig(enabled=False))
 

@@ -47,7 +47,7 @@ def test_steady_state_message_rate_collapses():
     sent_at_completion = sum(res.messages_sent().values())
     completion = dep.sim.now
     dep.sim.run(until=completion + 10 * MINUTE)
-    sent_after = sum(dep.collector.tx_by_node.values())
+    sent_after = sum(res.messages_sent().values())
     extra_rate = (sent_after - sent_at_completion) / 10.0  # msgs/min
     rate_during = sent_at_completion / (completion / MINUTE)
     assert extra_rate < 0.5 * rate_during

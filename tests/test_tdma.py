@@ -169,5 +169,5 @@ def test_mnp_completes_over_tdma():
     csma_run, tdma_run, schedule = mnp_over_tdma(rows=4, cols=4,
                                                  n_segments=1, seed=3)
     assert tdma_run.coverage == 1.0
-    assert tdma_run.collector.collisions == 0
+    assert tdma_run.collisions == 0
     assert csma_run.coverage == 1.0

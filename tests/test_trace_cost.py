@@ -89,7 +89,7 @@ def test_plain_run_subscribes_nothing(monkeypatch):
     assert subscribed == []
     assert result.all_complete
     assert sum(result.messages_sent().values()) == 5126
-    assert result.collector.collisions == 552
+    assert result.collisions == 552
     assert sum(result.messages_received().values()) == 7320
     for category in HOT_CATEGORIES:
         assert calls[category] == 0, category
