@@ -46,9 +46,11 @@ CHECKED_FIELDS = (
 def test_validation_rejects_nan(field):
     # NaN is false against every bound, so a check written as
     # "reject if below" lets it through, and the run then schedules
-    # events at NaN times.
-    with pytest.raises(ValueError):
-        MNPConfig(**{field: math.nan})
+    # events at NaN times.  Infinity passes every lower bound, and a
+    # timer set to it never fires.
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MNPConfig(**{field: value})
 
 
 def test_interval_max_must_dominate_base():

@@ -9,6 +9,7 @@ fails again on replay.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -93,6 +94,35 @@ def test_spec_from_dict_rejects_unknown_fields():
     {"topology": {"kind": "grid", "rows": 2, "cols": 2, "spacing_ft": 0.0}},
     {"topology": {"kind": "grid", "rows": 2, "cols": 2,
                   "spacing_ft": -10.0}},
+    # NaN is false against every bound and infinity passes every lower
+    # one, so "reject if x <= 0" lets both through.
+    {"range_ft": math.nan},
+    {"range_ft": math.inf},
+    {"deadline_min": math.nan},
+    {"deadline_min": math.inf},
+    {"topology": {"kind": "grid", "rows": 2, "cols": 2,
+                  "spacing_ft": math.nan}},
+    {"topology": {"kind": "grid", "rows": 2, "cols": 2,
+                  "spacing_ft": math.inf}},
+    {"topology": {"kind": "random", "n": 4, "side_ft": math.nan,
+                  "placement_seed": 1}},
+    {"topology": {"kind": "random", "n": 4, "side_ft": math.inf,
+                  "placement_seed": 1}},
+    {"topology": {"kind": "clustered", "clusters": 2, "per_cluster": 2,
+                  "pitch_ft": math.nan, "placement_seed": 1}},
+    {"topology": {"kind": "clustered", "clusters": 2, "per_cluster": 2,
+                  "pitch_ft": 0.0, "placement_seed": 1}},
+    # A fault plan is checked by building it, as the builders would.
+    {"faults": {"specs": [{"kind": "crash", "at_ms": math.inf,
+                           "nodes": None, "count": 1,
+                           "restart_after_ms": None}]}},
+    {"faults": {"specs": [{"kind": "eeprom", "mode": "fail",
+                           "probability": 5.0, "nodes": None, "count": 1,
+                           "start_ms": 0.0, "end_ms": None}]}},
+    {"faults": {"specs": [{"kind": "crash", "at_ms": 1000.0,
+                           "nodes": None, "count": 0,
+                           "restart_after_ms": None}]}},
+    {"faults": {"specs": [{"kind": "meteor"}]}},
 ])
 def test_spec_validation_rejects(overrides):
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the fault-injection subsystem (plans, controller, hooks)."""
 
+import math
 import random
 
 import pytest
@@ -70,6 +71,81 @@ def test_plan_builder_validation():
     with pytest.raises(ValueError):
         plan.brownout(at_ms=0, duration_ms=0, count=1)
     assert plan.is_empty  # nothing slipped in despite the errors
+
+
+@pytest.mark.parametrize("build", [
+    lambda p, x: p.crash(at_ms=x, count=1),
+    lambda p, x: p.crash(at_ms=0, count=1, restart_after_ms=x),
+    lambda p, x: p.brownout(at_ms=x, duration_ms=10, count=1),
+    lambda p, x: p.brownout(at_ms=0, duration_ms=x, count=1),
+    lambda p, x: p.eeprom_failures(probability=0.5, count=1, start_ms=x),
+    lambda p, x: p.eeprom_corruption(probability=0.5, count=1, end_ms=x),
+    lambda p, x: p.link_degradation(start_ms=0, end_ms=x, ber_factor=2.0),
+    lambda p, x: p.link_degradation(start_ms=0, end_ms=10, ber_factor=x),
+    lambda p, x: p.link_degradation(start_ms=0, end_ms=10, ber_factor=2.0,
+                                    ber_floor=x),
+    lambda p, x: p.partition(start_ms=0, end_ms=x, groups=[[1], [2]]),
+    lambda p, x: p.forged_advertisements(probability=0.5, version_bump=x),
+    lambda p, x: p.payload_tampering(probability=0.5, flips=x),
+    lambda p, x: p.replayed_manifest(probability=0.5, start_ms=x),
+    lambda p, x: p.segment_swap(probability=0.5, end_ms=x),
+    lambda p, x: p.crash(at_ms=0, count=x),
+], ids=["crash-at", "crash-restart", "brownout-at", "brownout-duration",
+        "eeprom-fail-start", "eeprom-corrupt-end", "link-end", "link-factor",
+        "link-floor", "partition-end", "forge-bump", "tamper-flips",
+        "replay-start", "swap-end", "crash-count"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_plan_builders_reject_non_finite_numbers(build, value):
+    # A crash at infinity never happens, yet holds a chaos run to its
+    # deadline; NaN is false against every bound.
+    plan = FaultPlan()
+    with pytest.raises(ValueError):
+        build(plan, value)
+    assert plan.is_empty
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "crash", "at_ms": math.inf, "nodes": None, "count": 1,
+     "restart_after_ms": None},
+    {"kind": "crash", "at_ms": 1000.0, "nodes": None, "count": 0,
+     "restart_after_ms": None},
+    {"kind": "eeprom", "mode": "fail", "probability": 5.0, "nodes": None,
+     "count": 1, "start_ms": 0.0, "end_ms": None},
+    {"kind": "link", "start_ms": 0.0, "end_ms": 10.0, "ber_factor": 2.0,
+     "ber_floor": 0.9, "nodes": None},
+    {"kind": "adversary", "attack": "forge_adv", "probability": 0.5,
+     "version_bump": 0, "start_ms": 0.0, "end_ms": None},
+    {"kind": "meteor"},
+], ids=["crash-at-inf", "crash-count-0", "eeprom-probability-5",
+        "link-floor-0.9", "forge-bump-0", "unknown-kind"])
+def test_plan_from_dict_checks_specs_like_the_builders(spec):
+    # At the parent, a probability of 5.0 injected hundreds of write
+    # failures and a count of 0 ran as a silent no-op.
+    with pytest.raises(ValueError):
+        FaultPlan.from_dict({"salt": "", "specs": [spec]})
+
+
+def test_plan_from_dict_rebuilds_every_builder_spec():
+    plan = (FaultPlan(salt="y")
+            .crash(at_ms=30_000, nodes=[3, 1], restart_after_ms=60_000)
+            .brownout(at_ms=1_000, duration_ms=500, count=2,
+                      battery_sag=0.1)
+            .eeprom_failures(probability=0.2, count=1, end_ms=9_000)
+            .eeprom_corruption(probability=0.01, count=3, flips=2)
+            .link_degradation(start_ms=0, end_ms=120_000, ber_factor=30.0,
+                              ber_floor=0.01, nodes=[2])
+            .partition(start_ms=5_000, end_ms=9_000, groups=[[1], [2, 3]])
+            .decode_corruption(probability=0.1)
+            .forged_advertisements(probability=0.3, version_bump=2)
+            .payload_tampering(probability=0.2, flips=3)
+            .replayed_manifest(probability=0.1, start_ms=100)
+            .segment_swap(probability=0.4))
+    data = plan.to_dict()
+    rebuilt = FaultPlan.from_dict(data)
+    assert rebuilt.salt == "y"
+    # Equal fields in equal order, so a rebuilt plan serialises the same.
+    assert [list(s.items()) for s in rebuilt.specs] == \
+        [list(s.items()) for s in data["specs"]]
 
 
 def test_controller_rejects_double_install():

@@ -127,11 +127,15 @@ def test_misspelled_override_fails_the_job_and_caches_nothing(tmp_path):
 @pytest.mark.parametrize("overrides,complaint", [
     ({"config": {"adv_interval_ms": math.nan}}, "advertisement interval"),
     ({"deadline_min": math.nan}, "NaN deadline"),
-], ids=["config", "deadline"])
+    ({"config": {"data_gap_ms": math.inf}}, "data_gap_ms"),
+    ({"deadline_min": math.inf}, "infinite deadline"),
+], ids=["config", "deadline", "config-inf", "deadline-inf"])
 def test_a_nan_field_fails_the_job_and_caches_nothing(tmp_path, overrides,
                                                       complaint):
-    # JSON carries NaN both ways.  A NaN config field would run a network
-    # whose timers fire at NaN times, and a NaN deadline never passes.
+    # JSON carries NaN and Infinity both ways.  A NaN config field would
+    # run a network whose timers fire at NaN times, an infinite one a
+    # network whose timers never fire, and a NaN or infinite deadline
+    # never passes.
     async def body(svc, host, port):
         client = ServiceClient(host, port)
         try:

@@ -74,6 +74,33 @@ def test_nan_horizon_and_deadline_rejected():
     assert sim.pending == 1
 
 
+def test_infinite_delay_and_time_rejected():
+    # An event at infinity never fires, and run_until with no deadline
+    # would fold empty hops towards it for ever.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(math.inf, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(math.inf, lambda: None)
+    assert sim.pending == 0
+    assert sim.run_until(lambda: False) is False
+
+
+def test_infinite_horizon_and_deadline_rejected():
+    # run(until=inf) would move the clock to infinity once the heap
+    # drains, and an infinite deadline is never reached.
+    sim = Simulator()
+    sim.schedule(5.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(until=math.inf)
+    with pytest.raises(SimulationError):
+        sim.run_until(lambda: False, deadline=math.inf)
+    with pytest.raises(SimulationError):
+        sim.run_until(lambda: False, check_every=math.inf)
+    assert sim.pending == 1
+    assert sim.now == 0.0
+
+
 def test_run_until_time_boundary():
     sim = Simulator()
     seen = []
