@@ -1,5 +1,6 @@
 """Unit tests for the simulation kernel."""
 
+import json
 import math
 
 import pytest
@@ -99,6 +100,17 @@ def test_infinite_horizon_and_deadline_rejected():
         sim.run_until(lambda: False, check_every=math.inf)
     assert sim.pending == 1
     assert sim.now == 0.0
+
+
+def test_a_probe_run_with_an_infinite_deadline_raises():
+    # JSON specs may carry Infinity (json.loads accepts it), and a run
+    # that cannot complete would then never end.
+    from repro.runner import RunSpec, execute_spec
+
+    spec = RunSpec("probe", scale="smoke", seed=1,
+                   deadline_min=json.loads("Infinity"))
+    with pytest.raises(SimulationError, match="infinite deadline"):
+        execute_spec(spec)
 
 
 def test_run_until_time_boundary():
