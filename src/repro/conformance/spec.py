@@ -22,6 +22,7 @@ Two properties are load-bearing:
 
 import hashlib
 import json
+import math
 
 from repro.core.segments import (
     MAX_SEGMENT_PACKETS,
@@ -106,6 +107,8 @@ class ScenarioSpec:
 
     # ------------------------------------------------------------------
     def _validate(self):
+        # Lengths and times are checked as the range a valid value lies
+        # in, so NaN and infinity fail too.
         topo = self.topology
         if topo.get("kind") not in TOPOLOGY_KINDS:
             raise ValueError(f"unknown topology kind {topo.get('kind')!r}")
@@ -114,18 +117,20 @@ class ScenarioSpec:
                 raise ValueError("grid dimensions must be positive")
             if topo["rows"] * topo["cols"] < 2:
                 raise ValueError("a scenario needs at least two nodes")
-            if topo["spacing_ft"] <= 0:
-                raise ValueError("spacing_ft must be positive")
+            if not 0 < topo["spacing_ft"] < math.inf:
+                raise ValueError("spacing_ft must be finite and positive")
         elif topo["kind"] == "random":
             if topo["n"] < 2:
                 raise ValueError("a scenario needs at least two nodes")
-            if topo["side_ft"] <= 0:
-                raise ValueError("side_ft must be positive")
+            if not 0 < topo["side_ft"] < math.inf:
+                raise ValueError("side_ft must be finite and positive")
         else:  # clustered
             if topo["clusters"] < 1 or topo["per_cluster"] < 1:
                 raise ValueError("cluster counts must be positive")
             if topo["clusters"] * topo["per_cluster"] < 2:
                 raise ValueError("a scenario needs at least two nodes")
+            if not 0 < topo["pitch_ft"] < math.inf:
+                raise ValueError("pitch_ft must be finite and positive")
         img = self.image
         if img["n_segments"] < 1:
             raise ValueError("need at least one segment")
@@ -139,17 +144,22 @@ class ScenarioSpec:
                 f"trim_bytes must be 0..{PACKET_PAYLOAD_BYTES - 1}")
         if not 1 <= self.power_level <= 255:
             raise ValueError("power_level must be 1..255")
-        if self.range_ft <= 0:
-            raise ValueError("range_ft must be positive")
+        if not 0 < self.range_ft < math.inf:
+            raise ValueError("range_ft must be finite and positive")
         if self.loss.get("kind") not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss.get('kind')!r}")
         if self.loss["kind"] == "uniform" and not \
                 0.0 <= self.loss.get("ber", -1) < 1.0:
             raise ValueError("uniform loss needs ber in [0,1)")
-        if self.deadline_min <= 0:
-            raise ValueError("deadline_min must be positive")
+        if not 0 < self.deadline_min < math.inf:
+            raise ValueError("deadline_min must be finite and positive")
         if self.sabotage not in SABOTAGE_MODES:
             raise ValueError(f"unknown sabotage mode {self.sabotage!r}")
+        if self.faults is not None:
+            # Building the plan runs the builders' checks on every spec.
+            from repro.faults.plan import FaultPlan
+
+            FaultPlan.from_dict(self.faults)
         if self.security is not None:
             # Round-trip through SecurityConfig validates the shape (and
             # the hex key) loudly at construction time.

@@ -5,6 +5,8 @@ where it does not; each parameter's docline says which.  Times are in
 milliseconds.
 """
 
+import math
+
 
 class MNPConfig:
     """Protocol parameters for :class:`repro.core.mnp.MNPNode`.
@@ -118,30 +120,31 @@ class MNPConfig:
         fail_backoff_max_ms=60_000.0,
     ):
         # Each check states what a valid value satisfies, so NaN (false
-        # against every bound) fails it.
-        if not advertise_count >= 1:
-            raise ValueError("advertise_count must be >= 1")
-        if not (adv_interval_ms > 0
-                and adv_interval_max_ms >= adv_interval_ms):
+        # against every bound) fails it, and each has a finite upper
+        # bound, so infinity (a timer that never fires) fails too.
+        inf = math.inf
+        if not 1 <= advertise_count < inf:
+            raise ValueError("advertise_count must be finite and >= 1")
+        if not 0 < adv_interval_ms <= adv_interval_max_ms < inf:
             raise ValueError("invalid advertisement interval settings")
-        if not adv_backoff_factor >= 1.0:
-            raise ValueError("adv_backoff_factor must be >= 1")
-        if not request_delay_ms >= 0:
-            raise ValueError("request_delay_ms must be non-negative")
-        if not data_gap_ms >= 0:
-            raise ValueError("data_gap_ms must be non-negative")
-        if not sleep_factor > 0:
-            raise ValueError("sleep_factor must be positive")
-        if not download_timeout_factor > 0:
-            raise ValueError("download_timeout_factor must be positive")
-        if not repair_rounds >= 0:
-            raise ValueError("repair_rounds must be non-negative")
-        if not fail_backoff_base_ms >= 0:
-            raise ValueError("fail_backoff_base_ms must be non-negative")
-        if not fail_backoff_factor >= 1.0:
-            raise ValueError("fail_backoff_factor must be >= 1")
-        if not fail_backoff_max_ms >= fail_backoff_base_ms:
-            raise ValueError("fail_backoff_max_ms must be >= fail_backoff_base_ms")
+        if not 1.0 <= adv_backoff_factor < inf:
+            raise ValueError("adv_backoff_factor must be finite and >= 1")
+        if not 0 <= request_delay_ms < inf:
+            raise ValueError("request_delay_ms must be finite and >= 0")
+        if not 0 <= data_gap_ms < inf:
+            raise ValueError("data_gap_ms must be finite and >= 0")
+        if not 0 < sleep_factor < inf:
+            raise ValueError("sleep_factor must be finite and positive")
+        if not 0 < download_timeout_factor < inf:
+            raise ValueError(
+                "download_timeout_factor must be finite and positive")
+        if not 0 <= repair_rounds < inf:
+            raise ValueError("repair_rounds must be finite and >= 0")
+        if not 0 <= fail_backoff_base_ms <= fail_backoff_max_ms < inf:
+            raise ValueError("fail_backoff_base_ms and fail_backoff_max_ms "
+                             "must be finite, with 0 <= base <= max")
+        if not 1.0 <= fail_backoff_factor < inf:
+            raise ValueError("fail_backoff_factor must be finite and >= 1")
         if large_segments and pipelining:
             raise ValueError(
                 "large_segments requires pipelining=False (the paper uses "

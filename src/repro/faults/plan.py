@@ -14,17 +14,42 @@ all, leaving golden runs bit-identical.
 Because a plan round-trips through :meth:`to_dict` / :meth:`from_dict`, it
 can ride inside a :class:`repro.runner.RunSpec`'s overrides: chaos sweeps
 get the cached, parallel experiment machinery for free.
+:meth:`from_dict` rebuilds each spec through its builder, so a plan read
+from JSON gets the same checks as one built in code.
 
-Times are milliseconds of virtual time, matching the kernel.
+Times are milliseconds of virtual time, matching the kernel.  Every
+number is checked where it enters, written as the range a valid value
+lies in, so NaN (false against every bound) and infinity (past every
+finite one) fail too.
 """
+
+import math
+
+
+def _time(value, what):
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{what} must be finite and >= 0, got {value}")
+    return float(value)
+
+
+def _duration(value, what):
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be finite and positive, got {value}")
+    return float(value)
+
+
+def _count(value, what):
+    if not 1 <= value < math.inf:
+        raise ValueError(f"{what} must be finite and >= 1, got {value}")
+    return int(value)
 
 
 def _window(start_ms, end_ms):
-    if start_ms < 0:
-        raise ValueError("start_ms must be non-negative")
-    if end_ms is not None and end_ms <= start_ms:
-        raise ValueError(f"empty fault window ({start_ms}, {end_ms})")
-    return float(start_ms), None if end_ms is None else float(end_ms)
+    start_ms = _time(start_ms, "start_ms")
+    if end_ms is not None and not start_ms < end_ms < math.inf:
+        raise ValueError(f"empty or unbounded fault window "
+                         f"({start_ms}, {end_ms})")
+    return start_ms, None if end_ms is None else float(end_ms)
 
 
 def _probability(p, what):
@@ -39,10 +64,8 @@ def _node_choice(nodes, count, what):
         raise ValueError(f"{what}: give nodes or count, not both")
     if nodes is None and count is None:
         raise ValueError(f"{what}: give nodes=[...] or count=N")
-    if count is not None and count < 1:
-        raise ValueError(f"{what}: count must be >= 1")
     return (None if nodes is None else sorted(nodes),
-            None if count is None else int(count))
+            None if count is None else _count(count, f"{what}: count"))
 
 
 class FaultPlan:
@@ -81,19 +104,16 @@ class FaultPlan:
         """Hard node failure at ``at_ms``: MCU dead, radio off, timers
         inert.  ``restart_after_ms`` (optional) revives the node that
         much later; it cold-boots the protocol but keeps its EEPROM."""
-        if at_ms < 0:
-            raise ValueError("at_ms must be non-negative")
-        if restart_after_ms is not None and restart_after_ms <= 0:
-            raise ValueError("restart_after_ms must be positive")
+        at_ms = _time(at_ms, "at_ms")
+        if restart_after_ms is not None:
+            restart_after_ms = _duration(restart_after_ms, "restart_after_ms")
         nodes, count = _node_choice(nodes, count, "crash")
         self.specs.append({
             "kind": "crash",
-            "at_ms": float(at_ms),
+            "at_ms": at_ms,
             "nodes": nodes,
             "count": count,
-            "restart_after_ms": (
-                None if restart_after_ms is None else float(restart_after_ms)
-            ),
+            "restart_after_ms": restart_after_ms,
         })
         return self
 
@@ -102,19 +122,17 @@ class FaultPlan:
         """Supply dip: the radio drops out for ``duration_ms`` (protocol
         state and timers survive -- the MCU stays up), and ``battery_sag``
         of the battery's capacity is lost to the transient."""
-        if at_ms < 0:
-            raise ValueError("at_ms must be non-negative")
-        if duration_ms <= 0:
-            raise ValueError("duration_ms must be positive")
-        _probability(battery_sag, "battery_sag")
+        at_ms = _time(at_ms, "at_ms")
+        duration_ms = _duration(duration_ms, "duration_ms")
+        battery_sag = _probability(battery_sag, "battery_sag")
         nodes, count = _node_choice(nodes, count, "brownout")
         self.specs.append({
             "kind": "brownout",
-            "at_ms": float(at_ms),
-            "duration_ms": float(duration_ms),
+            "at_ms": at_ms,
+            "duration_ms": duration_ms,
             "nodes": nodes,
             "count": count,
-            "battery_sag": float(battery_sag),
+            "battery_sag": battery_sag,
         })
         return self
 
@@ -124,13 +142,13 @@ class FaultPlan:
         """Each EEPROM write on an afflicted node fails (raises
         ``EepromError``, nothing stored) with ``probability`` while the
         window is open.  ``end_ms=None`` leaves it open for the run."""
-        _probability(probability, "probability")
+        probability = _probability(probability, "probability")
         nodes, count = _node_choice(nodes, count, "eeprom_failures")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "eeprom",
             "mode": "fail",
-            "probability": float(probability),
+            "probability": probability,
             "nodes": nodes,
             "count": count,
             "start_ms": start_ms,
@@ -143,16 +161,15 @@ class FaultPlan:
         """Each EEPROM write silently stores ``flips`` flipped bits with
         ``probability``; the damage surfaces later as an image CRC
         mismatch (`verify_image` / `images_intact`)."""
-        _probability(probability, "probability")
-        if flips < 1:
-            raise ValueError("flips must be >= 1")
+        probability = _probability(probability, "probability")
+        flips = _count(flips, "flips")
         nodes, count = _node_choice(nodes, count, "eeprom_corruption")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "eeprom",
             "mode": "corrupt",
-            "probability": float(probability),
-            "flips": int(flips),
+            "probability": probability,
+            "flips": flips,
             "nodes": nodes,
             "count": count,
             "start_ms": start_ms,
@@ -169,8 +186,10 @@ class FaultPlan:
         start_ms, end_ms = _window(start_ms, end_ms)
         if end_ms is None:
             raise ValueError("link_degradation needs a bounded window")
-        if ber_factor < 1.0:
-            raise ValueError("ber_factor must be >= 1")
+        if not 1.0 <= ber_factor < math.inf:
+            raise ValueError("ber_factor must be finite and >= 1")
+        if not 0.0 <= ber_floor <= 0.5:
+            raise ValueError("ber_floor must be in [0, 0.5]")
         self.specs.append({
             "kind": "link",
             "start_ms": start_ms,
@@ -205,13 +224,13 @@ class FaultPlan:
         dropped); ``pass_fraction`` of corrupted frames slip through with
         one protocol header field damaged, exercising the receivers'
         defensive decode paths."""
-        _probability(probability, "probability")
-        _probability(pass_fraction, "pass_fraction")
+        probability = _probability(probability, "probability")
+        pass_fraction = _probability(pass_fraction, "pass_fraction")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "decode",
-            "probability": float(probability),
-            "pass_fraction": float(pass_fraction),
+            "probability": probability,
+            "pass_fraction": pass_fraction,
             "start_ms": start_ms,
             "end_ms": end_ms,
         })
@@ -224,15 +243,14 @@ class FaultPlan:
         Deluge summaries) to claim a "newer" program version it cannot
         sign.  Unsecured nodes chase the phantom version; secured nodes
         reject the bad signature / unpinned version and keep going."""
-        _probability(probability, "probability")
-        if version_bump < 1:
-            raise ValueError("version_bump must be >= 1")
+        probability = _probability(probability, "probability")
+        version_bump = _count(version_bump, "version_bump")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "adversary",
             "attack": "forge_adv",
-            "probability": float(probability),
-            "version_bump": int(version_bump),
+            "probability": probability,
+            "version_bump": version_bump,
             "start_ms": start_ms,
             "end_ms": end_ms,
         })
@@ -243,15 +261,14 @@ class FaultPlan:
         """Data-packet payload bytes are flipped in flight *after* the
         link-layer CRC is (re)computed, so the frame arrives looking
         valid; only the manifest's per-segment hash chain catches it."""
-        _probability(probability, "probability")
-        if flips < 1:
-            raise ValueError("flips must be >= 1")
+        probability = _probability(probability, "probability")
+        flips = _count(flips, "flips")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "adversary",
             "attack": "tamper_payload",
-            "probability": float(probability),
-            "flips": int(flips),
+            "probability": probability,
+            "flips": flips,
             "start_ms": start_ms,
             "end_ms": end_ms,
         })
@@ -262,12 +279,12 @@ class FaultPlan:
         verbatim later.  The signature is genuine, so only nonce
         freshness / version rollback refusal stops the receiver from
         re-adopting a stale image."""
-        _probability(probability, "probability")
+        probability = _probability(probability, "probability")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "adversary",
             "attack": "replay_adv",
-            "probability": float(probability),
+            "probability": probability,
             "start_ms": start_ms,
             "end_ms": end_ms,
         })
@@ -277,12 +294,12 @@ class FaultPlan:
         """Individually valid data packets are re-addressed to a sibling
         packet slot, assembling a shuffled image out of authentic pieces;
         per-packet CRCs cannot see it, the hash chain can."""
-        _probability(probability, "probability")
+        probability = _probability(probability, "probability")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "adversary",
             "attack": "swap_segments",
-            "probability": float(probability),
+            "probability": probability,
             "start_ms": start_ms,
             "end_ms": end_ms,
         })
@@ -295,10 +312,35 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data):
+        """Rebuild a :meth:`to_dict` plan through the builders, so each
+        spec gets their checks (:class:`ValueError` on a bad one)."""
         plan = cls(salt=data.get("salt", ""))
-        plan.specs = [dict(s) for s in data.get("specs", ())]
+        for spec in data.get("specs", ()):
+            fields = dict(spec)
+            key = (fields.pop("kind", None),
+                   fields.pop("mode", None) or fields.pop("attack", None))
+            builder = _BUILDERS.get(key)
+            if builder is None:
+                raise ValueError(f"unknown fault spec {spec!r}")
+            builder(plan, **fields)
         return plan
 
     def __repr__(self):
         kinds = ",".join(s["kind"] for s in self.specs) or "empty"
         return f"<FaultPlan [{kinds}]>"
+
+
+#: ``(kind, mode or attack)`` of a spec -> the builder that makes it.
+_BUILDERS = {
+    ("crash", None): FaultPlan.crash,
+    ("brownout", None): FaultPlan.brownout,
+    ("eeprom", "fail"): FaultPlan.eeprom_failures,
+    ("eeprom", "corrupt"): FaultPlan.eeprom_corruption,
+    ("link", None): FaultPlan.link_degradation,
+    ("partition", None): FaultPlan.partition,
+    ("decode", None): FaultPlan.decode_corruption,
+    ("adversary", "forge_adv"): FaultPlan.forged_advertisements,
+    ("adversary", "tamper_payload"): FaultPlan.payload_tampering,
+    ("adversary", "replay_adv"): FaultPlan.replayed_manifest,
+    ("adversary", "swap_segments"): FaultPlan.segment_swap,
+}

@@ -21,6 +21,8 @@ SECOND = 1000.0
 MINUTE = 60 * SECOND
 HOUR = 60 * MINUTE
 
+_INF = math.inf
+
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling in the past, etc.)."""
@@ -69,10 +71,12 @@ class Simulator:
     def schedule(self, delay, fn, *args):
         """Run ``fn(*args)`` after ``delay`` milliseconds of virtual time;
         returns the event's handle."""
-        # Written so that NaN fails too: a NaN entry at the heap top
-        # would block every later event.
-        if not delay >= 0:
-            raise SimulationError(f"negative or NaN delay {delay!r}")
+        # Written so that NaN and infinity fail too: a NaN entry at the
+        # heap top would block every later event, and an infinite one
+        # never fires.
+        if not 0 <= delay < _INF:
+            raise SimulationError(
+                f"negative or non-finite delay {delay!r}")
         entry = [self.now + delay, next(self._counter), fn, args]
         heappush(self._heap, entry)
         return entry
@@ -80,7 +84,7 @@ class Simulator:
     def schedule_at(self, time, fn, *args):
         """Run ``fn(*args)`` at absolute virtual time ``time``; returns
         the event's handle."""
-        if not time >= self.now:  # NaN fails too, as in schedule()
+        if not self.now <= time < _INF:  # as in schedule()
             raise SimulationError(f"cannot schedule at {time} (now={self.now})")
         entry = [time, next(self._counter), fn, args]
         heappush(self._heap, entry)
@@ -114,8 +118,10 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if until is not None and math.isnan(until):
-            raise SimulationError("NaN run horizon")
+        if until is not None and not math.isfinite(until):
+            # NaN would run nothing; infinity would move the clock there
+            # once the heap drains.
+            raise SimulationError(f"non-finite run horizon {until!r}")
         self._running = True
         executed = 0
         horizon = math.inf if until is None else until
@@ -168,10 +174,11 @@ class Simulator:
         predicates reading ``sim.now`` directly should use ``deadline``
         for exact cutoffs.)
         """
-        if deadline is not None and math.isnan(deadline):
+        if deadline is not None and not math.isfinite(deadline):
             # It would never pass: only the predicate or an empty heap
             # could end the run.
-            raise SimulationError("NaN deadline")
+            what = "NaN" if math.isnan(deadline) else "infinite"
+            raise SimulationError(f"{what} deadline")
         heap = self._heap
         while True:
             if predicate():
