@@ -2,10 +2,13 @@
 
 import io
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+OUT_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "out"
 
 
 def run_cli(argv):
@@ -63,6 +66,21 @@ def test_figure_fig13_smoke():
     code, text = run_cli(["figure", "fig13"])
     assert code == 0
     assert "30%" in text and "90%" in text
+
+
+#: Figure name -> the rendering its benchmark records in benchmarks/out.
+RECORDED = {"table1": "table1_energy_model", "fig5": "fig5_indoor_grid",
+            "fig6": "fig6_outdoor_grid", "fig7": "fig7_outdoor_line"}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_figure_prints_the_recorded_file(name):
+    # These do not depend on the scale, so with no --seed (the seed the
+    # recording used) the command prints the recorded file byte for byte.
+    recorded = OUT_DIR / f"{RECORDED[name]}.txt"
+    code, text = run_cli(["figure", name])
+    assert code == 0
+    assert text == recorded.read_text()
 
 
 def test_compare():
