@@ -13,22 +13,19 @@ Shape claims from the paper's comparison:
 
 import pytest
 
-from repro.experiments.comparison import comparison_report, run_comparison
+from repro.experiments.comparison import (
+    COMPARISON_DIMS,
+    SECTION5_PROTOCOLS,
+    comparison_report,
+    run_comparison,
+)
 
 from conftest import save_report
 
 
-#: The energy argument needs genuine multihop scale; a 5x5 smoke grid is
-#: one or two hops and MNP's sleeping cannot amortize the handshakes, so
-#: the comparison is pinned to a 10x10 grid regardless of REPRO_SCALE.
-COMPARISON_DIMS = {"rows": 10, "cols": 10, "n_segments": 2,
-                   "segment_packets": 64}
-
-
 @pytest.fixture(scope="module")
 def runs():
-    return run_comparison(("mnp", "deluge", "moap", "xnp", "flood"),
-                          seed=1, **COMPARISON_DIMS)
+    return run_comparison(SECTION5_PROTOCOLS, seed=1, **COMPARISON_DIMS)
 
 
 def test_sec5_deluge_comparison(benchmark, runs):

@@ -364,7 +364,9 @@ def _build_parser():
                            help="regenerate a table/figure of the paper")
     fig_p.add_argument("name", help="e.g. table1, fig5..fig13, sec5, "
                                     "ablations (or 'list')")
-    fig_p.add_argument("--seed", type=int, default=1)
+    fig_p.add_argument("--seed", type=int, default=None,
+                       help="default: the seed benchmarks/out records "
+                            "(0 for table1, else 1)")
 
     cmp_p = sub.add_parser("compare",
                            help="run protocols on identical channels")
@@ -980,9 +982,6 @@ def _cmd_serve(args, out):
 
     from repro.service import Service
 
-    progress = None if args.quiet else \
-        (lambda line: print(line, file=sys.stderr, flush=True))
-
     async def _serve():
         try:
             service = Service(
@@ -990,7 +989,7 @@ def _cmd_serve(args, out):
                 cache_dir=None if args.no_cache else args.cache_dir,
                 queue_limit=args.queue,
                 job_timeout_s=args.timeout_s,
-                progress=progress,
+                progress=_progress(args),
             )
         except ValueError as exc:  # a bad REPRO_SERVICE_* setting
             return _usage_error("serve", exc)
@@ -1071,8 +1070,6 @@ def _cmd_loadgen(args, out):
 
     from repro.service.loadgen import render_report, run_loadgen
 
-    progress = None if args.quiet else \
-        (lambda line: print(line, file=sys.stderr, flush=True))
     try:
         report = asyncio.run(run_loadgen(
             url=args.url,
@@ -1085,7 +1082,7 @@ def _cmd_loadgen(args, out):
             experiment=args.experiment,
             protocol=args.protocol,
             job_timeout_s=args.timeout_s,
-            progress=progress,
+            progress=_progress(args),
         ))
     except ValueError as exc:  # a self-hosted service's bad setting
         return _usage_error("loadgen", exc)
@@ -1103,17 +1100,18 @@ def _cmd_loadgen(args, out):
     return 0
 
 
+#: Figure name -> (renderer, the seed its benchmarks/out file records).
 _FIGURES = {}
 
 
-def _figure(name):
+def _figure(name, seed=1):
     def register(fn):
-        _FIGURES[name] = fn
+        _FIGURES[name] = (fn, seed)
         return fn
     return register
 
 
-@_figure("table1")
+@_figure("table1", seed=0)
 def _fig_table1(seed, out):
     from repro.experiments.energy_table import (
         breakdown_report, measured_breakdown, table1_report,
@@ -1123,29 +1121,33 @@ def _fig_table1(seed, out):
     out.write(breakdown_report(measured_breakdown(seed=seed)) + "\n")
 
 
+def _write_levels(results, out, reverse):
+    """A mote-grid figure's power levels, joined as benchmarks/out
+    records them."""
+    out.write("\n\n".join(results[level].render()
+                           for level in sorted(results, reverse=reverse))
+              + "\n")
+
+
 @_figure("fig5")
 def _fig5(seed, out):
     from repro.experiments.mote_grids import fig5_indoor
 
-    for level, res in sorted(fig5_indoor(seed=seed).items()):
-        out.write(res.render() + "\n\n")
+    _write_levels(fig5_indoor(seed=seed), out, reverse=False)
 
 
 @_figure("fig6")
 def _fig6(seed, out):
     from repro.experiments.mote_grids import fig6_outdoor
 
-    for level, res in sorted(fig6_outdoor(seed=seed).items(), reverse=True):
-        out.write(res.render() + "\n\n")
+    _write_levels(fig6_outdoor(seed=seed), out, reverse=True)
 
 
 @_figure("fig7")
 def _fig7(seed, out):
     from repro.experiments.mote_grids import fig7_outdoor_line
 
-    for level, res in sorted(fig7_outdoor_line(seed=seed).items(),
-                             reverse=True):
-        out.write(res.render() + "\n\n")
+    _write_levels(fig7_outdoor_line(seed=seed), out, reverse=True)
 
 
 @_figure("fig8")
@@ -1191,16 +1193,20 @@ def _fig12(seed, out):
 def _fig13(seed, out):
     from repro.experiments.propagation import fig13_report, run_propagation
 
-    out.write(fig13_report(run_propagation(seed=seed)) + "\n")
+    out.write(fig13_report(run_propagation(seed=seed),
+                           deluge=run_propagation(seed=seed,
+                                                  protocol="deluge"))
+              + "\n")
 
 
 @_figure("sec5")
 def _sec5(seed, out):
-    from repro.experiments.comparison import comparison_report, \
-        run_comparison
+    from repro.experiments.comparison import (
+        COMPARISON_DIMS, SECTION5_PROTOCOLS, comparison_report,
+        run_comparison,
+    )
 
-    runs = run_comparison(("mnp", "deluge", "moap", "xnp", "flood"),
-                          seed=seed)
+    runs = run_comparison(SECTION5_PROTOCOLS, seed=seed, **COMPARISON_DIMS)
     out.write(comparison_report(runs) + "\n")
 
 
@@ -1215,11 +1221,11 @@ def _cmd_figure(args, out):
     if args.name == "list":
         out.write("available figures: " + " ".join(sorted(_FIGURES)) + "\n")
         return 0
-    fn = _FIGURES.get(args.name)
-    if fn is None:
+    if args.name not in _FIGURES:
         out.write(f"unknown figure {args.name!r}; try 'figure list'\n")
         return 2
-    fn(args.seed, out)
+    fn, recorded_seed = _FIGURES[args.name]
+    fn(recorded_seed if args.seed is None else args.seed, out)
     return 0
 
 

@@ -12,6 +12,15 @@ average active radio time, messages, collisions and energy.
 from repro.experiments.active_radio import run_simulation_grid
 from repro.metrics.reports import format_table
 
+#: The protocols of the Section 5 comparison (``figure sec5``).
+SECTION5_PROTOCOLS = ("mnp", "deluge", "moap", "xnp", "flood")
+
+#: The energy argument needs genuine multihop scale; a 5x5 smoke grid is
+#: one or two hops and MNP's sleeping cannot amortize the handshakes, so
+#: the Section 5 comparison is pinned to a 10x10 grid at every scale.
+COMPARISON_DIMS = {"rows": 10, "cols": 10, "n_segments": 2,
+                   "segment_packets": 64}
+
 
 def run_comparison(protocols=("mnp", "deluge"), seed=0, n_segments=None,
                    rows=None, cols=None, segment_packets=None):
