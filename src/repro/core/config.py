@@ -140,11 +140,13 @@ class MNPConfig:
                 "download_timeout_factor must be finite and positive")
         if not 0 <= repair_rounds < inf:
             raise ValueError("repair_rounds must be finite and >= 0")
-        if not 0 <= fail_backoff_base_ms <= fail_backoff_max_ms < inf:
-            raise ValueError("fail_backoff_base_ms and fail_backoff_max_ms "
-                             "must be finite, with 0 <= base <= max")
+        if not 0 <= fail_backoff_base_ms < inf:
+            raise ValueError("fail_backoff_base_ms must be finite and >= 0")
         if not 1.0 <= fail_backoff_factor < inf:
             raise ValueError("fail_backoff_factor must be finite and >= 1")
+        if not fail_backoff_base_ms <= fail_backoff_max_ms < inf:
+            raise ValueError("fail_backoff_max_ms must be finite and "
+                             ">= fail_backoff_base_ms")
         if large_segments and pipelining:
             raise ValueError(
                 "large_segments requires pipelining=False (the paper uses "

@@ -17,10 +17,9 @@ get the cached, parallel experiment machinery for free.
 :meth:`from_dict` rebuilds each spec through its builder, so a plan read
 from JSON gets the same checks as one built in code.
 
-Times are milliseconds of virtual time, matching the kernel.  Every
-number is checked where it enters, written as the range a valid value
-lies in, so NaN (false against every bound) and infinity (past every
-finite one) fail too.
+Times are milliseconds of virtual time, matching the kernel.  Numbers
+are checked as the range a valid value lies in, with a finite upper
+bound, so NaN (false against every bound) and infinity fail too.
 """
 
 import math
@@ -29,27 +28,24 @@ import math
 def _time(value, what):
     if not 0 <= value < math.inf:
         raise ValueError(f"{what} must be finite and >= 0, got {value}")
-    return float(value)
 
 
 def _duration(value, what):
     if not 0 < value < math.inf:
         raise ValueError(f"{what} must be finite and positive, got {value}")
-    return float(value)
 
 
 def _count(value, what):
     if not 1 <= value < math.inf:
         raise ValueError(f"{what} must be finite and >= 1, got {value}")
-    return int(value)
 
 
 def _window(start_ms, end_ms):
-    start_ms = _time(start_ms, "start_ms")
+    _time(start_ms, "start_ms")
     if end_ms is not None and not start_ms < end_ms < math.inf:
         raise ValueError(f"empty or unbounded fault window "
                          f"({start_ms}, {end_ms})")
-    return start_ms, None if end_ms is None else float(end_ms)
+    return float(start_ms), None if end_ms is None else float(end_ms)
 
 
 def _probability(p, what):
@@ -64,8 +60,10 @@ def _node_choice(nodes, count, what):
         raise ValueError(f"{what}: give nodes or count, not both")
     if nodes is None and count is None:
         raise ValueError(f"{what}: give nodes=[...] or count=N")
+    if count is not None:
+        _count(count, f"{what}: count")
     return (None if nodes is None else sorted(nodes),
-            None if count is None else _count(count, f"{what}: count"))
+            None if count is None else int(count))
 
 
 class FaultPlan:
@@ -104,16 +102,18 @@ class FaultPlan:
         """Hard node failure at ``at_ms``: MCU dead, radio off, timers
         inert.  ``restart_after_ms`` (optional) revives the node that
         much later; it cold-boots the protocol but keeps its EEPROM."""
-        at_ms = _time(at_ms, "at_ms")
+        _time(at_ms, "at_ms")
         if restart_after_ms is not None:
-            restart_after_ms = _duration(restart_after_ms, "restart_after_ms")
+            _duration(restart_after_ms, "restart_after_ms")
         nodes, count = _node_choice(nodes, count, "crash")
         self.specs.append({
             "kind": "crash",
-            "at_ms": at_ms,
+            "at_ms": float(at_ms),
             "nodes": nodes,
             "count": count,
-            "restart_after_ms": restart_after_ms,
+            "restart_after_ms": (
+                None if restart_after_ms is None else float(restart_after_ms)
+            ),
         })
         return self
 
@@ -122,17 +122,17 @@ class FaultPlan:
         """Supply dip: the radio drops out for ``duration_ms`` (protocol
         state and timers survive -- the MCU stays up), and ``battery_sag``
         of the battery's capacity is lost to the transient."""
-        at_ms = _time(at_ms, "at_ms")
-        duration_ms = _duration(duration_ms, "duration_ms")
-        battery_sag = _probability(battery_sag, "battery_sag")
+        _time(at_ms, "at_ms")
+        _duration(duration_ms, "duration_ms")
+        _probability(battery_sag, "battery_sag")
         nodes, count = _node_choice(nodes, count, "brownout")
         self.specs.append({
             "kind": "brownout",
-            "at_ms": at_ms,
-            "duration_ms": duration_ms,
+            "at_ms": float(at_ms),
+            "duration_ms": float(duration_ms),
             "nodes": nodes,
             "count": count,
-            "battery_sag": battery_sag,
+            "battery_sag": float(battery_sag),
         })
         return self
 
@@ -142,13 +142,13 @@ class FaultPlan:
         """Each EEPROM write on an afflicted node fails (raises
         ``EepromError``, nothing stored) with ``probability`` while the
         window is open.  ``end_ms=None`` leaves it open for the run."""
-        probability = _probability(probability, "probability")
+        _probability(probability, "probability")
         nodes, count = _node_choice(nodes, count, "eeprom_failures")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "eeprom",
             "mode": "fail",
-            "probability": probability,
+            "probability": float(probability),
             "nodes": nodes,
             "count": count,
             "start_ms": start_ms,
@@ -161,15 +161,15 @@ class FaultPlan:
         """Each EEPROM write silently stores ``flips`` flipped bits with
         ``probability``; the damage surfaces later as an image CRC
         mismatch (`verify_image` / `images_intact`)."""
-        probability = _probability(probability, "probability")
-        flips = _count(flips, "flips")
+        _probability(probability, "probability")
+        _count(flips, "flips")
         nodes, count = _node_choice(nodes, count, "eeprom_corruption")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "eeprom",
             "mode": "corrupt",
-            "probability": probability,
-            "flips": flips,
+            "probability": float(probability),
+            "flips": int(flips),
             "nodes": nodes,
             "count": count,
             "start_ms": start_ms,
@@ -224,13 +224,13 @@ class FaultPlan:
         dropped); ``pass_fraction`` of corrupted frames slip through with
         one protocol header field damaged, exercising the receivers'
         defensive decode paths."""
-        probability = _probability(probability, "probability")
-        pass_fraction = _probability(pass_fraction, "pass_fraction")
+        _probability(probability, "probability")
+        _probability(pass_fraction, "pass_fraction")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "decode",
-            "probability": probability,
-            "pass_fraction": pass_fraction,
+            "probability": float(probability),
+            "pass_fraction": float(pass_fraction),
             "start_ms": start_ms,
             "end_ms": end_ms,
         })
@@ -243,14 +243,14 @@ class FaultPlan:
         Deluge summaries) to claim a "newer" program version it cannot
         sign.  Unsecured nodes chase the phantom version; secured nodes
         reject the bad signature / unpinned version and keep going."""
-        probability = _probability(probability, "probability")
-        version_bump = _count(version_bump, "version_bump")
+        _probability(probability, "probability")
+        _count(version_bump, "version_bump")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "adversary",
             "attack": "forge_adv",
-            "probability": probability,
-            "version_bump": version_bump,
+            "probability": float(probability),
+            "version_bump": int(version_bump),
             "start_ms": start_ms,
             "end_ms": end_ms,
         })
@@ -261,14 +261,14 @@ class FaultPlan:
         """Data-packet payload bytes are flipped in flight *after* the
         link-layer CRC is (re)computed, so the frame arrives looking
         valid; only the manifest's per-segment hash chain catches it."""
-        probability = _probability(probability, "probability")
-        flips = _count(flips, "flips")
+        _probability(probability, "probability")
+        _count(flips, "flips")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "adversary",
             "attack": "tamper_payload",
-            "probability": probability,
-            "flips": flips,
+            "probability": float(probability),
+            "flips": int(flips),
             "start_ms": start_ms,
             "end_ms": end_ms,
         })
@@ -279,12 +279,12 @@ class FaultPlan:
         verbatim later.  The signature is genuine, so only nonce
         freshness / version rollback refusal stops the receiver from
         re-adopting a stale image."""
-        probability = _probability(probability, "probability")
+        _probability(probability, "probability")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "adversary",
             "attack": "replay_adv",
-            "probability": probability,
+            "probability": float(probability),
             "start_ms": start_ms,
             "end_ms": end_ms,
         })
@@ -294,12 +294,12 @@ class FaultPlan:
         """Individually valid data packets are re-addressed to a sibling
         packet slot, assembling a shuffled image out of authentic pieces;
         per-packet CRCs cannot see it, the hash chain can."""
-        probability = _probability(probability, "probability")
+        _probability(probability, "probability")
         start_ms, end_ms = _window(start_ms, end_ms)
         self.specs.append({
             "kind": "adversary",
             "attack": "swap_segments",
-            "probability": probability,
+            "probability": float(probability),
             "start_ms": start_ms,
             "end_ms": end_ms,
         })

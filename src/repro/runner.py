@@ -38,10 +38,13 @@ miss (the spec re-executes), never a silently served wrong answer.
 
 Sharing contract: identical specs appearing more than once in a single
 :meth:`Runner.run` batch execute once; every duplicate index subscribes
-to the one execution and receives its own deep copy of the metrics.
-This is what lets multi-tenant callers (the :mod:`repro.service` control
-plane, conformance fan-outs) submit overlapping work without paying for
-it twice.
+to the one execution and receives its own deep copy of the metrics, so
+a batch caller (the conformance harness's fan-outs) pays for overlapping
+work once.  The :mod:`repro.service` control plane does not go through
+:meth:`Runner.run`: its :class:`~repro.service.jobs.JobStore` dedups
+submissions by :meth:`RunSpec.cache_key` itself, runs a job with
+:func:`execute_spec` and uses a :class:`Runner` only to load and store
+manifests.
 """
 
 import copy
