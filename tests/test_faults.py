@@ -119,7 +119,7 @@ def test_plan_builders_reject_non_finite_numbers(build, value):
 ], ids=["crash-at-inf", "crash-count-0", "eeprom-probability-5",
         "link-floor-0.9", "forge-bump-0", "unknown-kind"])
 def test_plan_from_dict_checks_specs_like_the_builders(spec):
-    # At the parent, a probability of 5.0 injected hundreds of write
+    # Copied unchecked, a probability of 5.0 injected hundreds of write
     # failures and a count of 0 ran as a silent no-op.
     with pytest.raises(ValueError):
         FaultPlan.from_dict({"salt": "", "specs": [spec]})
